@@ -9,7 +9,19 @@
    (Table 1).  Stores are modeled like loads (write-allocate, no write-back
    cost).  Software prefetches occupy one of a bounded number of miss
    handlers; issuing a prefetch when all handlers are busy stalls until the
-   oldest one retires. *)
+   oldest one retires.
+
+   The miss handlers are a fixed ring of [miss_handlers] slots in issue
+   order.  Completion times strictly increase in issue order, so the ring
+   is sorted and the oldest slot always retires first.  A slot is live
+   while its line is in flight; a demand access to the line or an
+   invalidation of it clears the flag, but the slot keeps its handler
+   until its completion time retires it.  A retiring slot installs its
+   line only if the slot itself is still live.
+
+   Every operation here runs on each simulated key and pointer read, so it
+   is written as plain loops over preallocated arrays: nothing on these
+   paths allocates on the host heap. *)
 
 type t = {
   cfg : Config.t;
@@ -22,13 +34,18 @@ type t = {
   l1_stamp : int array;  (* LRU timestamps, parallel to l1_tags *)
   l2_lines : int;
   l2_tags : int array;  (* direct-mapped; -1 = invalid *)
-  inflight : (int, int) Hashtbl.t;  (* line -> completion time *)
-  order : (int * int) Queue.t;  (* (line, completion) in issue order *)
+  mh_line : int array;  (* per miss-handler slot: line fetched *)
+  mh_completion : int array;  (* per slot: completion time *)
+  mh_live : bool array;  (* per slot: line still in flight *)
+  mutable mh_head : int;  (* oldest occupied slot *)
+  mutable mh_len : int;  (* occupied slots, live or not *)
   mutable last_completion : int;
   mutable stamp : int;
 }
 
 let create cfg clock stats =
+  if cfg.Config.miss_handlers < 1 then
+    invalid_arg "Cache.create: miss_handlers must be positive";
   let l1_sets = cfg.Config.l1_size / (cfg.line_size * cfg.l1_assoc) in
   let l2_lines = cfg.l2_size / cfg.line_size in
   {
@@ -42,8 +59,11 @@ let create cfg clock stats =
     l1_stamp = Array.make (l1_sets * cfg.l1_assoc) 0;
     l2_lines;
     l2_tags = Array.make l2_lines (-1);
-    inflight = Hashtbl.create 64;
-    order = Queue.create ();
+    mh_line = Array.make cfg.miss_handlers 0;
+    mh_completion = Array.make cfg.miss_handlers 0;
+    mh_live = Array.make cfg.miss_handlers false;
+    mh_head = 0;
+    mh_len = 0;
     last_completion = min_int / 2;
     stamp = 0;
   }
@@ -51,62 +71,79 @@ let create cfg clock stats =
 let flush t =
   Array.fill t.l1_tags 0 (Array.length t.l1_tags) (-1);
   Array.fill t.l2_tags 0 (Array.length t.l2_tags) (-1);
-  Hashtbl.reset t.inflight;
-  Queue.clear t.order;
+  t.mh_head <- 0;
+  t.mh_len <- 0;
   t.last_completion <- min_int / 2
+
+(* Ring index of the [k]-th oldest occupied slot. *)
+let slot t k =
+  let s = t.mh_head + k in
+  if s >= t.cfg.Config.miss_handlers then s - t.cfg.Config.miss_handlers else s
+
+(* The live slot fetching [line], or -1. *)
+let inflight_slot t line =
+  let found = ref (-1) and k = ref 0 in
+  while !found < 0 && !k < t.mh_len do
+    let s = slot t !k in
+    if t.mh_live.(s) && t.mh_line.(s) = line then found := s;
+    incr k
+  done;
+  !found
 
 let install_l2 t line = t.l2_tags.(line mod t.l2_lines) <- line
 
+(* Fill [line] into its L1 set: the first invalid way, else the least
+   recently used one. *)
 let install_l1 t line =
   let base = line mod t.l1_sets * t.l1_assoc in
-  let victim = ref base and best = ref max_int in
-  (try
-     for w = 0 to t.l1_assoc - 1 do
-       if t.l1_tags.(base + w) = -1 then begin
-         victim := base + w;
-         raise Exit
-       end;
-       if t.l1_stamp.(base + w) < !best then begin
-         best := t.l1_stamp.(base + w);
-         victim := base + w
-       end
-     done
-   with Exit -> ());
+  let last = base + t.l1_assoc in
+  let victim = ref base and best = ref max_int and i = ref base in
+  while !i < last do
+    if t.l1_tags.(!i) = -1 then begin
+      victim := !i;
+      i := last
+    end
+    else begin
+      if t.l1_stamp.(!i) < !best then begin
+        best := t.l1_stamp.(!i);
+        victim := !i
+      end;
+      incr i
+    end
+  done;
   t.l1_tags.(!victim) <- line;
   t.stamp <- t.stamp + 1;
   t.l1_stamp.(!victim) <- t.stamp
 
 let l1_lookup t line =
   let base = line mod t.l1_sets * t.l1_assoc in
-  let rec go w =
-    if w >= t.l1_assoc then false
-    else if t.l1_tags.(base + w) = line then begin
-      t.stamp <- t.stamp + 1;
-      t.l1_stamp.(base + w) <- t.stamp;
-      true
-    end
-    else go (w + 1)
-  in
-  go 0
+  let last = base + t.l1_assoc in
+  let i = ref base in
+  while !i < last && t.l1_tags.(!i) <> line do
+    incr i
+  done;
+  if !i < last then begin
+    t.stamp <- t.stamp + 1;
+    t.l1_stamp.(!i) <- t.stamp;
+    true
+  end
+  else false
 
 let l2_lookup t line = t.l2_tags.(line mod t.l2_lines) = line
 
-(* Retire completed prefetches (completion <= now) into the caches. *)
+(* Retire completed prefetches (completion <= now), oldest first; a live
+   slot installs its line into the caches. *)
 let drain t =
   let now = Clock.now t.clock in
-  let rec go () =
-    match Queue.peek_opt t.order with
-    | Some (line, c) when c <= now ->
-        ignore (Queue.pop t.order);
-        if Hashtbl.mem t.inflight line then begin
-          Hashtbl.remove t.inflight line;
-          install_l2 t line;
-          install_l1 t line
-        end;
-        go ()
-    | _ -> ()
-  in
-  go ()
+  while t.mh_len > 0 && t.mh_completion.(t.mh_head) <= now do
+    let s = t.mh_head in
+    if t.mh_live.(s) then begin
+      install_l2 t t.mh_line.(s);
+      install_l1 t t.mh_line.(s)
+    end;
+    t.mh_head <- slot t 1;
+    t.mh_len <- t.mh_len - 1
+  done
 
 let stall t cycles =
   if cycles > 0 then begin
@@ -124,32 +161,36 @@ let schedule_mem t =
   t.last_completion <- completion;
   completion
 
-(* Demand access (load or store) to a byte address. *)
+(* Demand access (load or store) to a byte address.  A line in flight is
+   never resident in L1 or L2 (it is installed only when its live slot is
+   consumed or retires), so checking L1 before the miss handlers changes
+   nothing but spares L1 hits the scan of the ring. *)
 let access t addr =
   let line = addr asr t.shift in
   drain t;
-  match Hashtbl.find_opt t.inflight line with
-  | Some c ->
+  if l1_lookup t line then Fpb_obs.Counter.incr t.stats.Stats.l1_hits
+  else
+    let s = inflight_slot t line in
+    if s >= 0 then begin
       (* Prefetch in flight: wait only for the remaining latency. *)
-      Hashtbl.remove t.inflight line;
+      t.mh_live.(s) <- false;
       Fpb_obs.Counter.incr t.stats.Stats.prefetch_useful;
+      stall t (t.mh_completion.(s) - Clock.now t.clock);
+      install_l2 t line;
+      install_l1 t line
+    end
+    else if l2_lookup t line then begin
+      Fpb_obs.Counter.incr t.stats.Stats.l2_hits;
+      stall t t.cfg.Config.l2_latency;
+      install_l1 t line
+    end
+    else begin
+      Fpb_obs.Counter.incr t.stats.Stats.mem_misses;
+      let c = schedule_mem t in
       stall t (c - Clock.now t.clock);
       install_l2 t line;
       install_l1 t line
-  | None ->
-      if l1_lookup t line then Fpb_obs.Counter.incr t.stats.Stats.l1_hits
-      else if l2_lookup t line then begin
-        Fpb_obs.Counter.incr t.stats.Stats.l2_hits;
-        stall t t.cfg.Config.l2_latency;
-        install_l1 t line
-      end
-      else begin
-        Fpb_obs.Counter.incr t.stats.Stats.mem_misses;
-        let c = schedule_mem t in
-        stall t (c - Clock.now t.clock);
-        install_l2 t line;
-        install_l1 t line
-      end
+    end
 
 (* Software prefetch of one line: non-blocking unless all miss handlers are
    busy.  Hits in cache or on an in-flight line are no-ops. *)
@@ -157,21 +198,21 @@ let prefetch t addr =
   let line = addr asr t.shift in
   drain t;
   if
-    (not (Hashtbl.mem t.inflight line))
-    && (not (l1_lookup t line))
-    && not (l2_lookup t line)
+    (not (l1_lookup t line))
+    && (not (l2_lookup t line))
+    && inflight_slot t line < 0
   then begin
-    if Queue.length t.order >= t.cfg.Config.miss_handlers then begin
+    if t.mh_len >= t.cfg.Config.miss_handlers then begin
       (* All handlers busy: stall until the oldest outstanding completes. *)
       Fpb_obs.Counter.incr t.stats.Stats.prefetch_waits;
-      (match Queue.peek_opt t.order with
-      | Some (_, c) -> stall t (c - Clock.now t.clock)
-      | None -> ());
+      stall t (t.mh_completion.(t.mh_head) - Clock.now t.clock);
       drain t
     end;
-    let c = schedule_mem t in
-    Hashtbl.replace t.inflight line c;
-    Queue.push (line, c) t.order;
+    let s = slot t t.mh_len in
+    t.mh_line.(s) <- line;
+    t.mh_completion.(s) <- schedule_mem t;
+    t.mh_live.(s) <- true;
+    t.mh_len <- t.mh_len + 1;
     Fpb_obs.Counter.incr t.stats.Stats.prefetch_issued
   end
 
@@ -194,7 +235,8 @@ let prefetch_range t addr len =
 (* Drop any cached or in-flight copies of the given byte range.  Used when a
    buffer frame is reassigned to a different disk page: the new contents
    arrive by DMA, so stale CPU-cache lines for those addresses must not
-   produce false hits. *)
+   produce false hits.  Killed in-flight slots keep their handlers until
+   they retire. *)
 let invalidate_range t addr len =
   if len > 0 then begin
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
@@ -204,8 +246,12 @@ let invalidate_range t addr len =
         if t.l1_tags.(base + w) = line then t.l1_tags.(base + w) <- -1
       done;
       let idx = line mod t.l2_lines in
-      if t.l2_tags.(idx) = line then t.l2_tags.(idx) <- -1;
-      Hashtbl.remove t.inflight line
+      if t.l2_tags.(idx) = line then t.l2_tags.(idx) <- -1
+    done;
+    for k = 0 to t.mh_len - 1 do
+      let s = slot t k in
+      if t.mh_line.(s) >= first && t.mh_line.(s) <= last then
+        t.mh_live.(s) <- false
     done
   end
 

@@ -186,6 +186,9 @@ type t = {
   disks : Disk_model.t;
   capacity : int;
   frames : int array;  (* frame -> page id (Page_store.nil if empty) *)
+  regions : Mem.region array;
+      (* frame -> region of its page, refreshed by [assign_frame]; stale
+         while the frame is empty *)
   ref_bit : bool array;
   pin : int array;
   dirty : bool array;
@@ -297,6 +300,7 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
       disks;
       capacity;
       frames = Array.make capacity Page_store.nil;
+      regions = Array.make capacity (Mem.make ~bytes:Bytes.empty ~base:0);
       ref_bit = Array.make capacity false;
       pin = Array.make capacity 0;
       dirty = Array.make capacity false;
@@ -350,9 +354,13 @@ let reset_stats t =
 
 let kv t = stats_kv t.stats
 
-let region_of_frame t frame page =
-  Mem.make ~bytes:(Page_store.bytes t.store page)
-    ~base:(frame * Page_store.page_size t.store)
+(* Make [frame] hold [page], building the region pins hand out so a pin
+   of a resident page allocates nothing. *)
+let assign_frame t frame page =
+  t.frames.(frame) <- page;
+  t.regions.(frame) <-
+    Mem.make ~bytes:(Page_store.bytes t.store page)
+      ~base:(frame * Page_store.page_size t.store)
 
 let evictable t sh frame =
   t.pin.(frame) = 0
@@ -572,7 +580,7 @@ let prefetch t page =
        let disk, phys = Page_store.location t.store page in
        let install completion =
          t.prefetcher_free.(!worker) <- completion;
-         t.frames.(frame) <- page;
+         assign_frame t frame page;
          Hashtbl.replace sh.table page frame;
          Hashtbl.replace sh.inflight page completion;
          Counter.incr t.stats.prefetch_issued
@@ -641,8 +649,8 @@ let get t page =
   let sh = shard_of t page in
   latch_acquire t sh;
   Sim.busy_bufcall t.sim;
-  match Hashtbl.find_opt sh.table page with
-  | Some frame ->
+  match Hashtbl.find sh.table page with
+  | frame ->
       (match Hashtbl.find_opt sh.inflight page with
       | Some c ->
           Hashtbl.remove sh.inflight page;
@@ -655,8 +663,8 @@ let get t page =
       t.ref_bit.(frame) <- true;
       t.pin.(frame) <- t.pin.(frame) + 1;
       latch_release t sh;
-      region_of_frame t frame page
-  | None ->
+      t.regions.(frame)
+  | exception Not_found ->
       let frame =
         try victim_frame_demand t sh page
         with Overloaded _ as e ->
@@ -668,21 +676,23 @@ let get t page =
       latch_release t sh;
       ignore (media_read t page ~disk ~phys : [ `Ok | `Repaired ]);
       latch_acquire t sh;
-      t.frames.(frame) <- page;
+      assign_frame t frame page;
       Hashtbl.replace sh.table page frame;
       t.ref_bit.(frame) <- true;
       t.pin.(frame) <- 1;
       latch_release t sh;
-      let region = region_of_frame t frame page in
       if t.readahead > 0 then issue_readahead t ~disk ~phys;
-      region
+      t.regions.(frame)
 
-let frame_of_page t page = Hashtbl.find_opt (shard_of t page).table page
+let frame_of_page t page =
+  match Hashtbl.find (shard_of t page).table page with
+  | frame -> frame
+  | exception Not_found -> -1
 
 let unpin t page =
-  match frame_of_page t page with
-  | Some frame when t.pin.(frame) > 0 -> t.pin.(frame) <- t.pin.(frame) - 1
-  | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
+  let frame = frame_of_page t page in
+  if frame >= 0 && t.pin.(frame) > 0 then t.pin.(frame) <- t.pin.(frame) - 1
+  else invalid_arg "Buffer_pool.unpin: page not pinned"
 
 (* Pin a batch of pages together.  The whole batch's missing pages are
    first issued as asynchronous prefetches, so their disk reads overlap
@@ -723,11 +733,10 @@ let get_batch t pages =
   end
 
 let mark_dirty t page =
-  match frame_of_page t page with
-  | Some frame ->
-      t.dirty.(frame) <- true;
-      (match t.wal with Some h -> h.on_page_dirty page | None -> ())
-  | None -> invalid_arg "Buffer_pool.mark_dirty: page not resident"
+  let frame = frame_of_page t page in
+  if frame < 0 then invalid_arg "Buffer_pool.mark_dirty: page not resident";
+  t.dirty.(frame) <- true;
+  match t.wal with Some h -> h.on_page_dirty page | None -> ()
 
 let with_page t page f =
   let region = get t page in
@@ -782,7 +791,7 @@ let create_page t =
       Page_store.free t.store page;
       raise e
   in
-  t.frames.(frame) <- page;
+  assign_frame t frame page;
   Hashtbl.replace sh.table page frame;
   t.ref_bit.(frame) <- true;
   t.pin.(frame) <- 1;
@@ -794,16 +803,15 @@ let create_page t =
       h.on_page_dirty page
   | None -> ());
   Sim.busy_bufcall t.sim;
-  (page, region_of_frame t frame page)
+  (page, t.regions.(frame))
 
 (* Release a page back to the store.  It must be unpinned.  The pool's
    stale state (frame, dirty bit, in-flight entry) is invalidated by the
    [Page_store] free observer registered at [create]. *)
 let free_page t page =
-  (match frame_of_page t page with
-  | Some frame when t.pin.(frame) > 0 ->
-      invalid_arg "Buffer_pool.free_page: pinned"
-  | _ -> ());
+  let frame = frame_of_page t page in
+  if frame >= 0 && t.pin.(frame) > 0 then
+    invalid_arg "Buffer_pool.free_page: pinned";
   (match t.wal with Some h -> h.on_page_free page | None -> ());
   Page_store.free t.store page
 
@@ -848,15 +856,17 @@ let flush_dirty t =
    which hardens pages a few at a time between client operations instead
    of draining the whole pool in one stall. *)
 let write_back_page t page =
-  match frame_of_page t page with
-  | Some f when t.dirty.(f) ->
-      t.dirty.(f) <- false;
-      write_back t page;
-      true
-  | _ -> false
+  let f = frame_of_page t page in
+  if f >= 0 && t.dirty.(f) then begin
+    t.dirty.(f) <- false;
+    write_back t page;
+    true
+  end
+  else false
 
 let is_dirty t page =
-  match frame_of_page t page with Some f -> t.dirty.(f) | None -> false
+  let f = frame_of_page t page in
+  f >= 0 && t.dirty.(f)
 
 (* Currently dirty resident pages: a fuzzy checkpoint's initial worklist. *)
 let dirty_pages t =

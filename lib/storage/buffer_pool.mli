@@ -214,7 +214,9 @@ val with_page : t -> int -> (Fpb_simmem.Mem.region -> 'a) -> 'a
 val prefetch : t -> int -> unit
 
 val is_resident : t -> int -> bool
-val frame_of_page : t -> int -> int option
+
+(** The frame holding a resident page, or [-1] if it is not resident. *)
+val frame_of_page : t -> int -> int
 
 (** Media check for the scrubber: read a non-resident page through the
     full retry/verify/repair path without installing it in a frame.

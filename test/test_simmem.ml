@@ -142,6 +142,503 @@ let prop_prefetch_batch_cost =
       done;
       Clock.now clock1 <= Clock.now clock2)
 
+let test_reprefetch_after_invalidate () =
+  (* A handler whose line was invalidated retires without installing
+     anything, even when a later prefetch of the same line is in flight:
+     that line arrives only at its own completion time. *)
+  let clock, stats, cache = fresh () in
+  Cache.prefetch cache 0;
+  let first = cfg.Config.mem_latency in
+  Cache.invalidate_range cache 0 cfg.Config.line_size;
+  Cache.prefetch cache 0;
+  let second = first + cfg.Config.mem_gap in
+  check_int "re-prefetch issued" 2 (cv stats.Stats.prefetch_issued);
+  Clock.advance_to clock first;
+  Cache.access cache 0;
+  check_int "no L1 hit" 0 (cv stats.Stats.l1_hits);
+  check_int "prefetch useful" 1 (cv stats.Stats.prefetch_useful);
+  check_int "stalls until the second completion" second (Clock.now clock);
+  check_int "stall charged" (second - first) (cv stats.Stats.stall)
+
+(* --- Differential test against a list-based reference model --------------
+
+   The model restates the documented semantics as directly as possible:
+   L1 sets are lists of lines, most recently used first; L2 is an
+   association list from index to line; the miss handlers are a list of
+   (line, completion, live) in issue order. *)
+
+type model = {
+  mcfg : Config.t;
+  mutable now : int;
+  l1 : int list array;
+  mutable l2 : (int * int) list;
+  mutable handlers : (int * int * bool) list;
+  mutable last : int;
+  counts : int array;  (* busy, stall, l1, l2, mem, issued, useful, waits *)
+}
+
+let c_stall = 1
+and c_l1 = 2
+and c_l2 = 3
+and c_mem = 4
+and c_issued = 5
+and c_useful = 6
+and c_waits = 7
+
+let model_create mcfg =
+  let sets = mcfg.Config.l1_size / (mcfg.line_size * mcfg.l1_assoc) in
+  {
+    mcfg;
+    now = 0;
+    l1 = Array.make sets [];
+    l2 = [];
+    handlers = [];
+    last = min_int / 2;
+    counts = Array.make 8 0;
+  }
+
+let m_bump m i n = m.counts.(i) <- m.counts.(i) + n
+let m_l2_lines m = m.mcfg.Config.l2_size / m.mcfg.line_size
+let m_set m line = line mod Array.length m.l1
+
+let m_stall m n =
+  if n > 0 then begin
+    m_bump m c_stall n;
+    m.now <- m.now + n
+  end
+
+let m_in_l1 m line = List.mem line m.l1.(m_set m line)
+let m_in_l2 m line = List.assoc_opt (line mod m_l2_lines m) m.l2 = Some line
+
+let m_touch_l1 m line =
+  let s = m_set m line in
+  m.l1.(s) <- line :: List.filter (( <> ) line) m.l1.(s)
+
+let m_install_l1 m line =
+  let s = m_set m line in
+  let ways = m.l1.(s) in
+  let ways =
+    if List.length ways < m.mcfg.l1_assoc then ways
+    else List.filteri (fun i _ -> i < m.mcfg.l1_assoc - 1) ways
+  in
+  m.l1.(s) <- line :: ways
+
+let m_install m line =
+  let i = line mod m_l2_lines m in
+  m.l2 <- (i, line) :: List.remove_assoc i m.l2;
+  m_install_l1 m line
+
+let rec m_drain m =
+  match m.handlers with
+  | (line, c, live) :: rest when c <= m.now ->
+      m.handlers <- rest;
+      if live then m_install m line;
+      m_drain m
+  | _ -> ()
+
+let m_schedule m =
+  let c = max (m.now + m.mcfg.mem_latency) (m.last + m.mcfg.mem_gap) in
+  m.last <- c;
+  c
+
+let m_live m line =
+  List.find_map
+    (fun (l, c, live) -> if live && l = line then Some c else None)
+    m.handlers
+
+let m_kill m first last =
+  m.handlers <-
+    List.map
+      (fun (l, c, live) -> (l, c, live && not (l >= first && l <= last)))
+      m.handlers
+
+let m_access m line =
+  m_drain m;
+  match m_live m line with
+  | Some c ->
+      m_kill m line line;
+      m_bump m c_useful 1;
+      m_stall m (c - m.now);
+      m_install m line
+  | None ->
+      if m_in_l1 m line then begin
+        m_bump m c_l1 1;
+        m_touch_l1 m line
+      end
+      else if m_in_l2 m line then begin
+        m_bump m c_l2 1;
+        m_stall m m.mcfg.l2_latency;
+        m_install_l1 m line
+      end
+      else begin
+        m_bump m c_mem 1;
+        let c = m_schedule m in
+        m_stall m (c - m.now);
+        m_install m line
+      end
+
+let m_prefetch m line =
+  m_drain m;
+  if m_live m line = None then
+    if m_in_l1 m line then m_touch_l1 m line
+    else if not (m_in_l2 m line) then begin
+      if List.length m.handlers >= m.mcfg.miss_handlers then begin
+        m_bump m c_waits 1;
+        let _, c, _ = List.hd m.handlers in
+        m_stall m (c - m.now);
+        m_drain m
+      end;
+      let c = m_schedule m in
+      m.handlers <- m.handlers @ [ (line, c, true) ];
+      m_bump m c_issued 1
+    end
+
+let m_lines m addr len f =
+  let shift = Config.line_shift m.mcfg in
+  if len > 0 then
+    for line = addr asr shift to (addr + len - 1) asr shift do
+      f line
+    done
+
+let m_invalidate m addr len =
+  m_lines m addr len (fun line ->
+      let s = m_set m line in
+      m.l1.(s) <- List.filter (( <> ) line) m.l1.(s);
+      if m_in_l2 m line then m.l2 <- List.remove_assoc (line mod m_l2_lines m) m.l2;
+      m_kill m line line)
+
+let m_flush m =
+  Array.fill m.l1 0 (Array.length m.l1) [];
+  m.l2 <- [];
+  m.handlers <- [];
+  m.last <- min_int / 2
+
+type op =
+  | Access of int
+  | Prefetch of int
+  | Access_range of int * int
+  | Prefetch_range of int * int
+  | Invalidate of int * int
+  | Flush
+  | Advance of int
+  | Rewind of int
+
+let show_op = function
+  | Access a -> Printf.sprintf "access %d" a
+  | Prefetch a -> Printf.sprintf "prefetch %d" a
+  | Access_range (a, n) -> Printf.sprintf "access_range %d %d" a n
+  | Prefetch_range (a, n) -> Printf.sprintf "prefetch_range %d %d" a n
+  | Invalidate (a, n) -> Printf.sprintf "invalidate_range %d %d" a n
+  | Flush -> "flush"
+  | Advance n -> Printf.sprintf "advance %d" n
+  | Rewind n -> Printf.sprintf "rewind %d" n
+
+let tiny_cfg handlers =
+  {
+    Config.line_size = 64;
+    l1_size = 2 * 2 * 64;
+    l1_assoc = 2;
+    l2_size = 8 * 64;
+    l2_latency = 5;
+    mem_latency = 30;
+    mem_gap = 7;
+    miss_handlers = handlers;
+  }
+
+let gen_ops =
+  let open QCheck2.Gen in
+  let addr = 0 -- ((12 * 64) - 1) and len = 0 -- 200 in
+  let op =
+    frequency
+      [
+        (5, map (fun a -> Access a) addr);
+        (5, map (fun a -> Prefetch a) addr);
+        (2, map2 (fun a n -> Access_range (a, n)) addr len);
+        (2, map2 (fun a n -> Prefetch_range (a, n)) addr len);
+        (2, map2 (fun a n -> Invalidate (a, n)) addr len);
+        (1, pure Flush);
+        (3, map (fun n -> Advance n) (0 -- 60));
+        (1, map (fun n -> Rewind n) (0 -- 60));
+      ]
+  in
+  pair (1 -- 4) (list_size (0 -- 80) op)
+
+let prop_cache_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:5000 ~name:"cache matches list-based model"
+       ~print:(fun (h, ops) ->
+         Printf.sprintf "handlers=%d: %s" h
+           (String.concat "; " (List.map show_op ops)))
+       gen_ops
+       (fun (handlers, ops) ->
+         let c = tiny_cfg handlers in
+         let clock = Clock.create () and stats = Stats.create () in
+         let cache = Cache.create c clock stats in
+         let m = model_create c in
+         let shift = Config.line_shift c in
+         List.iteri
+           (fun step op ->
+             (match op with
+             | Access a ->
+                 Cache.access cache a;
+                 m_access m (a asr shift)
+             | Prefetch a ->
+                 Cache.prefetch cache a;
+                 m_prefetch m (a asr shift)
+             | Access_range (a, n) ->
+                 Cache.access_range cache a n;
+                 m_lines m a n (m_access m)
+             | Prefetch_range (a, n) ->
+                 Cache.prefetch_range cache a n;
+                 m_lines m a n (m_prefetch m)
+             | Invalidate (a, n) ->
+                 Cache.invalidate_range cache a n;
+                 m_invalidate m a n
+             | Flush ->
+                 Cache.flush cache;
+                 m_flush m
+             | Advance n ->
+                 Clock.advance clock n;
+                 m.now <- m.now + n
+             | Rewind n ->
+                 let t = max 0 (Clock.now clock - n) in
+                 Clock.set clock t;
+                 m.now <- t);
+             let actual = List.map snd (Stats.kv stats) in
+             if actual <> Array.to_list m.counts || Clock.now clock <> m.now
+             then
+               QCheck2.Test.fail_reportf
+                 "step %d (%s): cache %s @%d, model %s @%d" step (show_op op)
+                 (String.concat "," (List.map string_of_int actual))
+                 (Clock.now clock)
+                 (String.concat "," (Array.to_list (Array.map string_of_int m.counts)))
+                 m.now;
+             List.iter
+               (fun (l, _, live) ->
+                 if live && (m_in_l1 m l || m_in_l2 m l) then
+                   QCheck2.Test.fail_reportf
+                     "step %d: live in-flight line %d is resident" step l)
+               m.handlers)
+           ops;
+         true))
+
+(* --- Host allocation on the charge path ---------------------------------- *)
+
+let words_per_call f =
+  let n = 10_000 in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc name f =
+  let w = words_per_call f in
+  if w >= 1.0 then Alcotest.failf "%s allocates %.2f words per call" name w
+
+let test_cache_no_alloc () =
+  let line = cfg.Config.line_size in
+  let l1_sets = cfg.Config.l1_size / (line * cfg.Config.l1_assoc) in
+  let _clock, stats, cache = fresh () in
+  check_no_alloc "access (L1 hit)" (fun () -> Cache.access cache 0);
+  (* three lines in one two-way L1 set but distinct L2 lines, cycled:
+     every access misses L1 and hits L2 *)
+  Cache.access cache (l1_sets * line);
+  Cache.access cache (2 * l1_sets * line);
+  let i = ref 2 in
+  let l2_before = cv stats.Stats.l2_hits in
+  check_no_alloc "access (L2 hit)" (fun () ->
+      i := (!i + 1) mod 3;
+      Cache.access cache (!i * l1_sets * line));
+  check_int "every access an L2 hit" 10_001 (cv stats.Stats.l2_hits - l2_before);
+  let next = ref 1_000_000 in
+  let fresh_line () =
+    incr next;
+    !next * line
+  in
+  let mem_before = cv stats.Stats.mem_misses in
+  check_no_alloc "access (memory miss)" (fun () -> Cache.access cache (fresh_line ()));
+  check_int "every access a memory miss" 10_001 (cv stats.Stats.mem_misses - mem_before);
+  let useful_before = cv stats.Stats.prefetch_useful in
+  check_no_alloc "prefetch + access (prefetched line)" (fun () ->
+      let a = fresh_line () in
+      Cache.prefetch cache a;
+      Cache.access cache a);
+  check_int "every access prefetched" 10_001
+    (cv stats.Stats.prefetch_useful - useful_before);
+  check_no_alloc "prefetch" (fun () -> Cache.prefetch cache (fresh_line ()));
+  Alcotest.(check bool) "handlers filled up" true (cv stats.Stats.prefetch_waits > 0)
+
+let test_mem_no_alloc () =
+  let sim = Sim.create () in
+  let r = Mem.make ~bytes:(Bytes.make 4096 '\000') ~base:0 in
+  for i = 0 to 1023 do
+    Mem.poke_i32 r (4 * i) (2 * i)
+  done;
+  let sink = ref 0 in
+  check_no_alloc "Mem.read_i32" (fun () -> sink := !sink + Mem.read_i32 sim r 8);
+  check_no_alloc "Mem.read_u16" (fun () -> sink := !sink + Mem.read_u16 sim r 8);
+  check_no_alloc "Mem.write_i32" (fun () -> Mem.write_i32 sim r 4000 (-7));
+  check_no_alloc "Mem.prefetch" (fun () -> Mem.prefetch sim r ~off:0 ~len:256);
+  check_no_alloc "Array_search.lower_bound" (fun () ->
+      sink :=
+        !sink
+        + Fpb_btree_common.Array_search.lower_bound sim r ~off:0 ~n:1024
+            ~key:(!sink land 2047));
+  ignore (Sys.opaque_identity !sink)
+
+let test_pool_pin_no_alloc () =
+  let _, _, _, pool = Util.make_system ~capacity:4 () in
+  let page, _ = Fpb_storage.Buffer_pool.create_page pool in
+  Fpb_storage.Buffer_pool.unpin pool page;
+  check_no_alloc "Buffer_pool.get + unpin (resident)" (fun () ->
+      ignore (Fpb_storage.Buffer_pool.get pool page);
+      Fpb_storage.Buffer_pool.unpin pool page);
+  check_no_alloc "Buffer_pool.frame_of_page" (fun () ->
+      ignore (Fpb_storage.Buffer_pool.frame_of_page pool page));
+  check_no_alloc "Buffer_pool.is_resident" (fun () ->
+      ignore (Fpb_storage.Buffer_pool.is_resident pool page))
+
+(* --- Simulated-counter pins ----------------------------------------------
+
+   A fixed-seed mixed workload (search, insert, range scan, batched search)
+   on each index, with a buffer pool smaller than the tree so pool misses,
+   evictions and CPU-cache invalidation all take part.  Every nonzero
+   simulated counter and the final clock are compared with recorded
+   constants; the counters left out must be zero.  Host-side work on the
+   charge path must leave the simulated machine byte-identical, so these
+   constants change only with a deliberate change to the simulated
+   model. *)
+
+let pin_workload kind =
+  let sim, _store, disks, pool =
+    Util.make_system ~page_size:4096 ~capacity:24 ()
+  in
+  let idx = Fpb_experiments.Setup.make_index kind pool in
+  Fpb_btree_common.Index_sig.bulkload idx
+    (Array.init 20_000 (fun i -> (2 * i, i)))
+    ~fill:0.7;
+  let rng = Fpb_workload.Prng.create 7 in
+  let key () = Fpb_workload.Prng.int rng 44_000 in
+  for _ = 1 to 400 do
+    match Fpb_workload.Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> ignore (Fpb_btree_common.Index_sig.search idx (key ()))
+    | 4 | 5 | 6 ->
+        let k = key () in
+        ignore (Fpb_btree_common.Index_sig.insert idx k (k + 1))
+    | 7 | 8 ->
+        let s = key () in
+        ignore
+          (Fpb_btree_common.Index_sig.range_scan idx ~start_key:s
+             ~end_key:(s + 200) (fun _ _ -> ()))
+    | _ ->
+        ignore
+          (Fpb_btree_common.Index_sig.search_batch idx (Array.init 8 (fun _ -> key ())))
+  done;
+  Fpb_btree_common.Index_sig.check idx;
+  ( List.filter
+      (fun (_, v) -> v <> 0)
+      (Stats.kv sim.Sim.stats
+      @ Fpb_storage.Buffer_pool.kv pool
+      @ Fpb_storage.Disk_model.kv disks),
+    Sim.now sim )
+
+let pinned_counters =
+  [
+    ( "disk_opt",
+      ( [
+          ("sim.busy_cycles", 1278035);
+          ("sim.stall_cycles", 989854);
+          ("sim.l1_hits", 66151);
+          ("sim.l2_hits", 333);
+          ("sim.mem_misses", 6244);
+          ("sim.prefetch_issued", 6791);
+          ("sim.prefetch_useful", 30);
+          ("sim.prefetch_waits", 1726);
+          ("pool.hits", 756);
+          ("pool.misses", 325);
+          ("pool.evictions", 550);
+          ("pool.prefetch_issued", 191);
+          ("pool.prefetch_hits", 191);
+          ("pool.io_wait_ns", 2871588190);
+          ("disk.reads", 516);
+          ("disk.writes", 164);
+          ("disk.busy_ns", 4197632000);
+        ],
+        2873856079 ) );
+    ( "micro",
+      ( [
+          ("sim.busy_cycles", 1321060);
+          ("sim.stall_cycles", 881218);
+          ("sim.l1_hits", 69389);
+          ("sim.l2_hits", 184);
+          ("sim.mem_misses", 5162);
+          ("sim.prefetch_issued", 7789);
+          ("sim.prefetch_useful", 386);
+          ("sim.prefetch_waits", 1688);
+          ("pool.hits", 738);
+          ("pool.misses", 328);
+          ("pool.evictions", 574);
+          ("pool.prefetch_issued", 211);
+          ("pool.prefetch_hits", 211);
+          ("pool.io_wait_ns", 2943637426);
+          ("disk.reads", 539);
+          ("disk.writes", 167);
+          ("disk.busy_ns", 4432294400);
+        ],
+        2945839704 ) );
+    ( "disk_first",
+      ( [
+          ("sim.busy_cycles", 1953317);
+          ("sim.stall_cycles", 761713);
+          ("sim.l1_hits", 84936);
+          ("sim.l2_hits", 180);
+          ("sim.mem_misses", 4082);
+          ("sim.prefetch_issued", 8690);
+          ("sim.prefetch_useful", 1595);
+          ("sim.prefetch_waits", 2292);
+          ("pool.hits", 3600);
+          ("pool.misses", 309);
+          ("pool.evictions", 559);
+          ("pool.prefetch_issued", 212);
+          ("pool.prefetch_hits", 212);
+          ("pool.io_wait_ns", 2830337433);
+          ("disk.reads", 521);
+          ("disk.writes", 169);
+          ("disk.busy_ns", 4310656000);
+        ],
+        2833052463 ) );
+    ( "cache_first",
+      ( [
+          ("sim.busy_cycles", 2203319);
+          ("sim.stall_cycles", 635035);
+          ("sim.l1_hits", 74788);
+          ("sim.l2_hits", 171);
+          ("sim.mem_misses", 3671);
+          ("sim.prefetch_issued", 10251);
+          ("sim.prefetch_useful", 1596);
+          ("sim.prefetch_waits", 1287);
+          ("pool.hits", 2175);
+          ("pool.misses", 588);
+          ("pool.evictions", 851);
+          ("pool.prefetch_issued", 225);
+          ("pool.prefetch_hits", 225);
+          ("pool.io_wait_ns", 5212821363);
+          ("disk.reads", 813);
+          ("disk.writes", 352);
+          ("disk.busy_ns", 7423296000);
+        ],
+        5215659717 ) );
+  ]
+
+let test_pinned_counters name () =
+  let kind = List.assoc name Test_indexes.kinds in
+  let expected_kv, expected_now = List.assoc name pinned_counters in
+  let kv, now = pin_workload kind in
+  Alcotest.(check (list (pair string int))) "counters" expected_kv kv;
+  check_int "simulated clock" expected_now now
+
 let suite =
   [
     Alcotest.test_case "clock" `Quick test_clock;
@@ -154,5 +651,18 @@ let suite =
     Alcotest.test_case "flush" `Quick test_flush;
     Alcotest.test_case "mem accessors" `Quick test_mem_accessors;
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
+    Alcotest.test_case "re-prefetch after invalidate" `Quick
+      test_reprefetch_after_invalidate;
     prop_prefetch_batch_cost;
+    prop_cache_matches_model;
+    Alcotest.test_case "cache charge path allocates nothing" `Quick
+      test_cache_no_alloc;
+    Alcotest.test_case "mem accessors allocate nothing" `Quick test_mem_no_alloc;
+    Alcotest.test_case "pool pin of a resident page allocates nothing" `Quick
+      test_pool_pin_no_alloc;
   ]
+  @ List.map
+      (fun (name, _) ->
+        Alcotest.test_case ("pinned counters " ^ name) `Quick
+          (test_pinned_counters name))
+      pinned_counters
