@@ -30,7 +30,6 @@ module Histogram = Fpb_obs.Histogram
 module Disk_model = Fpb_storage.Disk_model
 module Page_store = Fpb_storage.Page_store
 module Buffer_pool = Fpb_storage.Buffer_pool
-module Checksum = Fpb_storage.Checksum
 module Vec = Fpb_storage.Vec
 module Prng = Fpb_workload.Prng
 module Shadow = Fpb_snapshot.Shadow
@@ -70,7 +69,7 @@ type entry = {
   lsn : int;
   framed : string;
   record : Wal.record;
-  crc : int;
+  crc : int;  (* the frame's own CRC-32 trailer; rejoin compares it *)
   shipped_ns : int;
 }
 
@@ -266,7 +265,7 @@ let ship t lsn framed =
       | None -> invalid_arg "Fpb_replica: undecodable shipped record"
     in
     Vec.push t.archive
-      { lsn; framed; record; crc = Checksum.string framed; shipped_ns = now };
+      { lsn; framed; record; crc = Wal.Codec.trailer framed; shipped_ns = now };
     Counter.incr t.stats.c_shipped;
     Counter.add t.stats.c_shipped_bytes (String.length framed);
     Array.iter
@@ -684,7 +683,7 @@ let rejoin (t : t) ~old_pool ~old_wal ~prng ?(profile = Net.default_profile)
         match classify t lsn with
         | `Base -> ()
         | `Hit e ->
-            if e.crc <> Checksum.string (Wal.Codec.encode r) then
+            if e.crc <> Wal.Codec.trailer (Wal.Codec.encode r) then
               fork := Some lsn
         | `Divergent -> fork := Some lsn
         | `Trimmed -> trimmed := Some lsn)

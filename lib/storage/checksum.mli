@@ -4,7 +4,9 @@
     models disk firmware and is never charged to the simulated machine. *)
 
 (** [update crc b off len] folds [len] bytes of [b] starting at [off]
-    into a running checksum ([0] to start a fresh one). *)
+    into a running checksum ([0] to start a fresh one).  Allocates
+    nothing.  Raises [Invalid_argument] if [off, off + len) is not a
+    valid range of [b]. *)
 val update : int -> Bytes.t -> int -> int -> int
 
 (** Checksum of a whole buffer. *)

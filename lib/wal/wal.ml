@@ -65,50 +65,57 @@ module Codec = struct
   let kind_free = 6
   let max_body = 1 lsl 24 (* sanity bound when parsing *)
 
-  let add_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
+  let set_i32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
 
-  let add_meta b meta =
-    add_i32 b (List.length meta);
-    List.iter (add_i32 b) meta
+  let rec set_list b pos = function
+    | [] -> ()
+    | v :: rest ->
+        set_i32 b pos v;
+        set_list b (pos + 4) rest
 
+  let set_header b kind lsn field =
+    Bytes.set_uint8 b 4 kind;
+    set_i32 b 5 lsn;
+    set_i32 b 9 field
+
+  (* Body bytes after the 9-byte [kind | lsn | first field] header. *)
+  let tail_len = function
+    | Image { img; _ } -> Bytes.length img
+    | Delta { bytes; _ } -> 4 + Bytes.length bytes
+    | Commit { meta; _ } | Checkpoint { meta; _ } -> 4 + (4 * List.length meta)
+    | Alloc _ | Free _ -> 0
+
+  (* One exact-size frame: header and payload written in place, then the
+     body checksummed where it lies. *)
   let encode r =
-    let body = Buffer.create 64 in
+    let body_len = 9 + tail_len r in
+    let b = Bytes.create (body_len + 8) in
+    set_i32 b 0 body_len;
     (match r with
     | Image { lsn; page; img } ->
-        Buffer.add_uint8 body kind_image;
-        add_i32 body lsn;
-        add_i32 body page;
-        Buffer.add_bytes body img
+        set_header b kind_image lsn page;
+        Bytes.blit img 0 b 13 (Bytes.length img)
     | Delta { lsn; page; off; bytes } ->
-        Buffer.add_uint8 body kind_delta;
-        add_i32 body lsn;
-        add_i32 body page;
-        add_i32 body off;
-        Buffer.add_bytes body bytes
+        set_header b kind_delta lsn page;
+        set_i32 b 13 off;
+        Bytes.blit bytes 0 b 17 (Bytes.length bytes)
     | Commit { lsn; op; meta } ->
-        Buffer.add_uint8 body kind_commit;
-        add_i32 body lsn;
-        add_i32 body op;
-        add_meta body meta
+        set_header b kind_commit lsn op;
+        set_i32 b 13 (List.length meta);
+        set_list b 17 meta
     | Checkpoint { lsn; op; meta } ->
-        Buffer.add_uint8 body kind_checkpoint;
-        add_i32 body lsn;
-        add_i32 body op;
-        add_meta body meta
-    | Alloc { lsn; page } ->
-        Buffer.add_uint8 body kind_alloc;
-        add_i32 body lsn;
-        add_i32 body page
-    | Free { lsn; page } ->
-        Buffer.add_uint8 body kind_free;
-        add_i32 body lsn;
-        add_i32 body page);
-    let body = Buffer.contents body in
-    let framed = Buffer.create (String.length body + 8) in
-    add_i32 framed (String.length body);
-    Buffer.add_string framed body;
-    add_i32 framed (Checksum.string body);
-    Buffer.contents framed
+        set_header b kind_checkpoint lsn op;
+        set_i32 b 13 (List.length meta);
+        set_list b 17 meta
+    | Alloc { lsn; page } -> set_header b kind_alloc lsn page
+    | Free { lsn; page } -> set_header b kind_free lsn page);
+    set_i32 b (4 + body_len) (Checksum.update 0 b 4 body_len);
+    Bytes.unsafe_to_string b
+
+  (* mask: i32 round-trip sign-extends checksums >= 2^31 *)
+  let trailer framed =
+    Int32.to_int (String.get_int32_le framed (String.length framed - 4))
+    land 0xffffffff
 
   let get_i32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
 
@@ -555,20 +562,31 @@ let on_page_write t page =
 
 (* ----------------------------- logging ------------------------------ *)
 
-(* Smallest byte span on which two page-sized buffers differ. *)
+(* Smallest byte span on which two page-sized buffers differ: whole
+   words from each end while they match, then bytes. *)
 let diff_span a b =
   let n = Bytes.length a in
   let lo = ref 0 in
+  while !lo + 8 <= n && Bytes.get_int64_ne a !lo = Bytes.get_int64_ne b !lo do
+    lo := !lo + 8
+  done;
   while !lo < n && Bytes.get a !lo = Bytes.get b !lo do
     incr lo
   done;
   if !lo = n then None
   else begin
-    let hi = ref (n - 1) in
-    while Bytes.get a !hi = Bytes.get b !hi do
+    (* [hi] is exclusive; byte [lo] differs, so both loops stop above it *)
+    let hi = ref n in
+    while
+      !hi - 8 > !lo
+      && Bytes.get_int64_ne a (!hi - 8) = Bytes.get_int64_ne b (!hi - 8)
+    do
+      hi := !hi - 8
+    done;
+    while Bytes.get a (!hi - 1) = Bytes.get b (!hi - 1) do
       decr hi
     done;
-    Some (!lo, !hi - !lo + 1)
+    Some (!lo, !hi - !lo)
   end
 
 (* Log one dirtied page: a full image on first touch since the last

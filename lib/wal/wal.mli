@@ -98,6 +98,10 @@ type record =
 module Codec : sig
   val encode : record -> string
 
+  (** The CRC-32 trailer of a frame [encode] produced, read from its
+      last four bytes (not recomputed). *)
+  val trailer : string -> int
+
   (** [decode b pos] parses the framed record at [pos] of the stream
       held in [b] (the stream occupies bytes [0, len), defaulting to all
       of [b]); [None] if the bytes are truncated or corrupt.  Returns

@@ -39,6 +39,57 @@ let test_crc_sensitivity () =
   Bytes.set b 63 'b';
   check_bool "single byte changes digest" true (Checksum.bytes b <> h0)
 
+(* Bytewise CRC-32, kept as the reference model for [Checksum.update]. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_crc crc b off len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    let n = (!c lxor Char.code (Bytes.get b i)) land 0xff in
+    c := ref_table.(n) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let test_crc_bad_range () =
+  let b = Bytes.make 64 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Checksum.update 0 b off len with
+      | _ -> Alcotest.failf "range (%d, %d) of 64 bytes accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 65); (60, 5); (65, 0); (max_int, 1) ];
+  check_int "empty range at the end" 0x1234 (Checksum.update 0x1234 b 64 0)
+
+(* Slicing-by-8 against the bytewise reference: offsets that misalign
+   the 8-byte steps, lengths around every tail size plus sector and page
+   sizes, nonzero seeds, and a chained second call. *)
+let crc_differential =
+  let gen =
+    QCheck2.Gen.(
+      tup4 (int_range 0 15)
+        (oneof [ int_range 0 600; oneofl [ 512; 4096; 16384 ] ])
+        (int_bound 0xffffffff) (int_bound 1_000_000))
+  in
+  Util.qtest ~count:300 "crc32 slicing-by-8 = bytewise reference" gen
+    (fun (off, len, seed, fill) ->
+      let rng = Fpb_workload.Prng.create fill in
+      let b =
+        Bytes.init (off + len + 3) (fun _ ->
+            Char.chr (Fpb_workload.Prng.int rng 256))
+      in
+      let want = ref_crc seed b off len in
+      let cut = if len = 0 then 0 else fill mod (len + 1) in
+      Checksum.update seed b off len = want
+      && Checksum.update (Checksum.update seed b off cut) b (off + cut)
+           (len - cut)
+         = want)
+
 (* --- page checksum headers --- *)
 
 let test_stamp_verify () =
@@ -320,6 +371,9 @@ let suite =
     Alcotest.test_case "crc32 known vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc32 incremental update" `Quick test_crc_incremental;
     Alcotest.test_case "crc32 bit sensitivity" `Quick test_crc_sensitivity;
+    Alcotest.test_case "crc32 rejects out-of-range spans" `Quick
+      test_crc_bad_range;
+    crc_differential;
     Alcotest.test_case "page stamp/verify/heal" `Quick test_stamp_verify;
     Alcotest.test_case "transient reads retried with backoff" `Quick
       test_retry_recovers;

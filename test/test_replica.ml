@@ -230,6 +230,49 @@ let test_rejoin_divergence () =
         (Replica.sync_node group2 ~horizon:max_int back);
       Index_sig.check idx2
 
+(* An old-primary record with the archive's LSN and frame length but
+   one different payload byte must still fork the rejoin at that LSN:
+   the archive keeps only each frame's CRC trailer for the comparison.
+   Two runs of the same deterministic system differ in the last inserted
+   value's low bit, so their logs match record for record but one (an
+   earlier flip would also ride in later deltas' spans). *)
+let test_rejoin_one_byte_divergence () =
+  let run flip =
+    let sys, idx, wal, group = build_group ~mode:(Replica.Semi_sync 1) () in
+    for i = 1 to 12 do
+      let v = if i = flip then i lxor 1 else i in
+      ignore (Index_sig.insert idx (key_of i) v);
+      Wal.commit wal ~op:i ~meta:(Index_sig.meta idx)
+    done;
+    (sys, wal, group)
+  in
+  let _, wal, group = run 0 in
+  let old_sys, old_wal, _ = run 12 in
+  let recs = Wal.durable_records wal in
+  let old_recs = Wal.durable_records old_wal in
+  check_int "same record count" (List.length recs) (List.length old_recs);
+  match List.filter (fun (a, b) -> a <> b) (List.combine recs old_recs) with
+  | [ (r, old_r) ] -> (
+      let f = Wal.Codec.encode r and old_f = Wal.Codec.encode old_r in
+      check_int "same LSN" (Wal.record_lsn r) (Wal.record_lsn old_r);
+      check_int "same frame length" (String.length f) (String.length old_f);
+      let payload_diffs = ref 0 in
+      for i = 4 to String.length f - 5 do
+        if f.[i] <> old_f.[i] then incr payload_diffs
+      done;
+      check_int "one payload byte differs" 1 !payload_diffs;
+      match
+        Replica.rejoin group ~old_pool:old_sys.X.Setup.pool ~old_wal
+          ~prng:(W.Prng.create 5) ()
+      with
+      | Replica.Rejoined { fork_lsn; truncated_records; _ } ->
+          check_int "fork at the differing record" (Wal.record_lsn r) fork_lsn;
+          check_bool "suffix from the fork truncated" true
+            (truncated_records > 0)
+      | Replica.Snapshot_required _ ->
+          Alcotest.fail "untrimmed archive must allow a delta rejoin")
+  | l -> Alcotest.failf "expected one differing record, got %d" (List.length l)
+
 (* --- retention: log catch-up refused, snapshot path succeeds ---------- *)
 
 let test_retention_snapshot_catchup () =
@@ -279,6 +322,8 @@ let suite =
       async_kill_prop;
     Alcotest.test_case "rejoin: divergent suffix detected and truncated"
       `Quick test_rejoin_divergence;
+    Alcotest.test_case "rejoin: one-byte divergence at equal LSN and length"
+      `Quick test_rejoin_one_byte_divergence;
     Alcotest.test_case "retention: snapshot catch-up after trim" `Quick
       test_retention_snapshot_catchup;
   ]

@@ -500,6 +500,37 @@ let test_pool_pin_no_alloc () =
   check_no_alloc "Buffer_pool.is_resident" (fun () ->
       ignore (Fpb_storage.Buffer_pool.is_resident pool page))
 
+(* The durability path's host work: a page checksum allocates nothing,
+   and a record encode allocates only its result string.  A frame over
+   [Max_young_wosize] (256 words) goes straight to the major heap, so
+   encoding a 4 KB image must allocate no minor words at all. *)
+let test_durability_alloc () =
+  let page = Bytes.init 16384 (fun i -> Char.chr (i * 131 land 0xff)) in
+  let sink = ref 0 in
+  check_no_alloc "Checksum.update (16 KB page)" (fun () ->
+      sink := !sink lxor Fpb_storage.Checksum.update 0 page 0 16384);
+  ignore (Sys.opaque_identity !sink);
+  let module Wal = Fpb_wal.Wal in
+  List.iter
+    (fun (name, r) ->
+      (* the string's words, padding byte included, plus its header *)
+      let frame_words = (String.length (Wal.Codec.encode r) / 8) + 1 in
+      let minor = if frame_words > 256 then 0 else frame_words + 1 in
+      let w =
+        words_per_call (fun () ->
+            ignore (Sys.opaque_identity (Wal.Codec.encode r)))
+      in
+      if w > float_of_int (minor + 2) then
+        Alcotest.failf "Codec.encode %s allocates %.1f minor words (frame: %d)"
+          name w minor)
+    (let image n = Wal.Image { lsn = 9; page = 3; img = Bytes.make n 'i' } in
+     [
+       ("commit", Wal.Commit { lsn = 9; op = 4; meta = [ 1; 2; 3; 4; 5 ] });
+       ("delta", Wal.Delta { lsn = 9; page = 3; off = 40; bytes = Bytes.make 100 'd' });
+       ("1 KB image", image 1024);
+       ("4 KB image", image 4096);
+     ])
+
 (* --- Simulated-counter pins ----------------------------------------------
 
    A fixed-seed mixed workload (search, insert, range scan, batched search)
@@ -660,6 +691,8 @@ let suite =
     Alcotest.test_case "mem accessors allocate nothing" `Quick test_mem_no_alloc;
     Alcotest.test_case "pool pin of a resident page allocates nothing" `Quick
       test_pool_pin_no_alloc;
+    Alcotest.test_case "page checksum and record encode allocate only the frame"
+      `Quick test_durability_alloc;
   ]
   @ List.map
       (fun (name, _) ->

@@ -70,6 +70,152 @@ let test_codec_crc_framing () =
   Alcotest.(check bool) "corrupt trailer rejected" true
     (Wal.Codec.decode b 0 = None)
 
+(* The two-Buffer encoder the codec replaced, kept as the reference
+   model for the frame format. *)
+let ref_encode r =
+  let add_i32 b v = Buffer.add_int32_le b (Int32.of_int v) in
+  let add_meta b meta =
+    add_i32 b (List.length meta);
+    List.iter (add_i32 b) meta
+  in
+  let body = Buffer.create 64 in
+  (match r with
+  | Wal.Image { lsn; page; img } ->
+      Buffer.add_uint8 body 1;
+      add_i32 body lsn;
+      add_i32 body page;
+      Buffer.add_bytes body img
+  | Wal.Delta { lsn; page; off; bytes } ->
+      Buffer.add_uint8 body 2;
+      add_i32 body lsn;
+      add_i32 body page;
+      add_i32 body off;
+      Buffer.add_bytes body bytes
+  | Wal.Commit { lsn; op; meta } ->
+      Buffer.add_uint8 body 3;
+      add_i32 body lsn;
+      add_i32 body op;
+      add_meta body meta
+  | Wal.Checkpoint { lsn; op; meta } ->
+      Buffer.add_uint8 body 4;
+      add_i32 body lsn;
+      add_i32 body op;
+      add_meta body meta
+  | Wal.Alloc { lsn; page } ->
+      Buffer.add_uint8 body 5;
+      add_i32 body lsn;
+      add_i32 body page
+  | Wal.Free { lsn; page } ->
+      Buffer.add_uint8 body 6;
+      add_i32 body lsn;
+      add_i32 body page);
+  let body = Buffer.contents body in
+  let framed = Buffer.create (String.length body + 8) in
+  add_i32 framed (String.length body);
+  Buffer.add_string framed body;
+  add_i32 framed (Fpb_storage.Checksum.string body);
+  Buffer.contents framed
+
+let gen_record =
+  let open QCheck2.Gen in
+  let field = oneof [ int_range (-1000) 1000; int_bound 0x7fffffff; int ] in
+  let blob max = map Bytes.of_string (string_size (int_range 0 max)) in
+  let meta = list_size (int_range 0 12) field in
+  oneof
+    [
+      map3
+        (fun lsn page img -> Wal.Image { lsn; page; img })
+        field field
+        (oneof
+           [ blob 64; map (fun n -> Bytes.make n 'i') (oneofl [ 512; 4096 ]) ]);
+      map2
+        (fun (lsn, page, off) bytes -> Wal.Delta { lsn; page; off; bytes })
+        (triple field field field) (blob 300);
+      map3 (fun lsn op meta -> Wal.Commit { lsn; op; meta }) field field meta;
+      map3 (fun lsn op meta -> Wal.Checkpoint { lsn; op; meta }) field field meta;
+      map2 (fun lsn page -> Wal.Alloc { lsn; page }) field field;
+      map2 (fun lsn page -> Wal.Free { lsn; page }) field field;
+    ]
+
+let prop_encode_matches_reference =
+  Util.qtest ~count:500 "codec encode = reference encoder, byte for byte"
+    gen_record (fun r ->
+      let s = Wal.Codec.encode r in
+      s = ref_encode r
+      && Wal.Codec.trailer s
+         = Fpb_storage.Checksum.update 0 (Bytes.of_string s) 4
+             (String.length s - 8))
+
+(* Bytewise reference for the WAL's page diff: [None] on identical
+   pages, else the span from the first to the last differing byte. *)
+let ref_diff_span a b =
+  let n = Bytes.length a in
+  let differs i = Bytes.get a i <> Bytes.get b i in
+  let rec first i = if i = n || differs i then i else first (i + 1) in
+  let rec last i = if differs i then i else last (i - 1) in
+  let lo = first 0 in
+  if lo = n then None else Some (lo, last (n - 1) - lo + 1)
+
+(* The (off, len) of the Delta a commit logs for one re-dirtied page
+   must be the reference diff of its bytes before and after the edits:
+   single bytes at the word boundaries and ends, random scatters, and
+   no edit at all (nothing logged). *)
+let prop_delta_span =
+  let ps = 4096 in
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (oneof
+           [
+             list_size (int_range 1 2) (oneofl [ 0; 7; 8; ps - 8; ps - 1 ]);
+             list_size (int_range 0 6) (int_bound (ps - 1));
+           ])
+        (int_bound 1_000_000))
+  in
+  Util.qtest ~count:200 "delta span = bytewise reference diff" gen
+    (fun (edits, seed) ->
+      let pool = Util.make_pool ~page_size:ps ~n_disks:1 ~capacity:8 () in
+      let page, _ = Buffer_pool.create_page pool in
+      Buffer_pool.unpin pool page;
+      let wal = Wal.attach ~meta:[] pool in
+      let store = Buffer_pool.store pool in
+      let rng = Fpb_workload.Prng.create seed in
+      let dirty f =
+        ignore (Buffer_pool.get pool page);
+        Buffer_pool.mark_dirty pool page;
+        f (Page_store.bytes store page);
+        Buffer_pool.unpin pool page
+      in
+      (* first touch logs a full image and seeds the diff shadow *)
+      dirty (fun b ->
+          Bytes.iteri
+            (fun i _ -> Bytes.set b i (Char.chr (Fpb_workload.Prng.int rng 256)))
+            b);
+      Wal.commit wal ~op:1 ~meta:[];
+      let before = Bytes.copy (Page_store.bytes store page) in
+      (* each edit changes its byte (xor with a nonzero value) *)
+      dirty (fun b ->
+          List.iter
+            (fun i ->
+              let x = 1 + Fpb_workload.Prng.int rng 255 in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+            edits);
+      let after = Bytes.copy (Page_store.bytes store page) in
+      let logged = ref [] in
+      Wal.set_durable_observer wal
+        (Some
+           (fun _ framed ->
+             match Wal.Codec.decode (Bytes.of_string framed) 0 with
+             | Some (Wal.Delta { off; bytes; _ }, _) ->
+                 logged := (off, Bytes.length bytes) :: !logged
+             | _ -> ()));
+      Wal.commit wal ~op:2 ~meta:[];
+      Wal.detach wal;
+      match (ref_diff_span before after, !logged) with
+      | None, [] -> true
+      | Some span, [ got ] -> span = got
+      | _ -> false)
+
 (* --- commit / crash / recover on a real system --- *)
 
 let build_small kind n =
@@ -402,6 +548,8 @@ let suite =
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec torn tail" `Quick test_codec_torn_tail;
     Alcotest.test_case "codec crc32 framing" `Quick test_codec_crc_framing;
+    prop_encode_matches_reference;
+    prop_delta_span;
     Alcotest.test_case "commit then recover" `Quick test_commit_recover;
     Alcotest.test_case "group commit loses buffered tail" `Quick
       test_group_commit_loss;
