@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4) on the simulated substrates, plus Bechamel
-   wall-clock microbenchmarks of the core index operations and of the
-   durability path's checksum and record framing.
+   wall-clock microbenchmarks of the core index operations, of the
+   simulated machine's own bookkeeping, and of the durability path's
+   checksum and record framing.
 
    Usage:
      dune exec bench/main.exe                 # every experiment, quick scale
@@ -66,6 +67,34 @@ let run_bechamel () =
     Test.make ~name:"image-4KB"
       (Staged.stage (fun () -> ignore (Fpb_wal.Wal.Codec.encode r)))
   in
+  (* The simulated machine's host bookkeeping: prefetching a 16 KB page
+     whose lines all miss (the base advances 16 KB per call over a 4 MB
+     span, twice the L2), and pinning plus unpinning a resident page. *)
+  let prefetch_test =
+    let sim = Fpb_simmem.Sim.create () in
+    let page = 16384 in
+    let bytes = Bytes.create page in
+    let regions =
+      Array.init (4 * 1024 * 1024 / page) (fun i ->
+          Fpb_simmem.Mem.make ~bytes ~base:(i * page))
+    in
+    let next = ref 0 in
+    Test.make ~name:"prefetch-16KB"
+      (Staged.stage (fun () ->
+           let r = regions.(!next) in
+           next := (!next + 1) mod Array.length regions;
+           Fpb_simmem.Mem.prefetch sim r ~off:0 ~len:page))
+  in
+  let pin_test =
+    let sys = Setup.make ~page_size:16384 ~pool_pages:64 () in
+    let pool = sys.Setup.pool in
+    let page, _ = Fpb_storage.Buffer_pool.create_page pool in
+    Fpb_storage.Buffer_pool.unpin pool page;
+    Test.make ~name:"get-unpin"
+      (Staged.stage (fun () ->
+           ignore (Fpb_storage.Buffer_pool.get pool page);
+           Fpb_storage.Buffer_pool.unpin pool page))
+  in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -75,12 +104,14 @@ let run_bechamel () =
   in
   (* Measured before the trees below are built: with those live, the
      512-byte checksum read 4-6x its isolated cost. *)
-  let durability =
+  let host_paths =
     measure
       [
         Test.make_grouped ~name:"checksum"
           (List.map checksum_test [ ("sector-512B", 512); ("page-16KB", 16384) ]);
         Test.make_grouped ~name:"wal-encode" [ encode_test ];
+        Test.make_grouped ~name:"cache" [ prefetch_test ];
+        Test.make_grouped ~name:"pool" [ pin_test ];
       ]
   in
   let results =
@@ -91,7 +122,7 @@ let run_bechamel () =
         Test.make_grouped ~name:"scan" (List.map scan_test Setup.all_kinds);
       ]
   in
-  Hashtbl.iter (Hashtbl.replace results) durability;
+  Hashtbl.iter (Hashtbl.replace results) host_paths;
   let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
   List.filter_map
     (fun name ->

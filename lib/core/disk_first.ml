@@ -823,7 +823,9 @@ let bulkload t pairs ~fill =
 (* --- Range scan ------------------------------------------------------------- *)
 
 (* I/O jump-pointer cursor over the in-page leaf nodes of leaf-parent pages:
-   yields successive tree-leaf page IDs. *)
+   yields successive tree-leaf page IDs, then [nil] once exhausted.  A
+   scan steps it hundreds of times, so it returns a bare page ID rather
+   than an [int option]. *)
 type jp_cursor = {
   mutable jp_page : int;
   mutable jp_line : int;
@@ -831,7 +833,7 @@ type jp_cursor = {
 }
 
 let rec jp_next t cur =
-  if cur.jp_page = nil then None
+  if cur.jp_page = nil then nil
   else begin
     let r = Buffer_pool.get t.pool cur.jp_page in
     if cur.jp_line = 0 then cur.jp_line <- Mem.read_u16 t.sim r h_first_leaf;
@@ -840,7 +842,7 @@ let rec jp_next t cur =
       let pid = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg cur.jp_line cur.jp_idx) in
       cur.jp_idx <- cur.jp_idx + 1;
       Buffer_pool.unpin t.pool cur.jp_page;
-      Some pid
+      pid
     end
     else begin
       let next_line = Mem.read_u16 t.sim r (node_off cur.jp_line + n_next) in
@@ -855,7 +857,7 @@ let rec jp_next t cur =
         Buffer_pool.unpin t.pool cur.jp_page;
         cur.jp_page <- next_page;
         cur.jp_line <- 0;
-        if next_page = nil then None else jp_next t cur
+        if next_page = nil then nil else jp_next t cur
       end
     end
   end
@@ -907,12 +909,10 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
     let cur = { jp_page = !parent; jp_line = 0; jp_idx = 0 } in
     (if !parent <> nil then begin
        (* advance the cursor past the start leaf *)
-       let rec skip () =
-         match jp_next t cur with
-         | Some pid when pid <> start_leaf -> skip ()
-         | _ -> ()
-       in
-       skip ()
+       let pid = ref (jp_next t cur) in
+       while !pid <> nil && !pid <> start_leaf do
+         pid := jp_next t cur
+       done
      end);
     let outstanding = ref 0 in
     (* nothing to prefetch when the scan starts on the end page *)
@@ -920,12 +920,13 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
     let pump () =
       if prefetch then
         while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
-          match jp_next t cur with
-          | None -> done_prefetching := true
-          | Some pid ->
-              Buffer_pool.prefetch t.pool pid;
-              incr outstanding;
-              if pid = end_leaf then done_prefetching := true
+          let pid = jp_next t cur in
+          if pid = nil then done_prefetching := true
+          else begin
+            Buffer_pool.prefetch t.pool pid;
+            incr outstanding;
+            if pid = end_leaf then done_prefetching := true
+          end
         done
     in
     pump ();
@@ -1017,15 +1018,16 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
         with Exit -> ());
        Buffer_pool.unpin t.pool !parent
      end);
+    (* the next preceding leaf page ID, or [nil] once exhausted *)
     let rec jp_prev () =
-      if !jp_pg = nil then None
+      if !jp_pg = nil then nil
       else begin
         let pr = Buffer_pool.get t.pool !jp_pg in
         if !jp_idx >= 0 then begin
           let pid = Mem.read_i32 t.sim pr (leaf_ptr_off c !jp_line !jp_idx) in
           jp_idx := !jp_idx - 1;
           Buffer_pool.unpin t.pool !jp_pg;
-          Some pid
+          pid
         end
         else begin
           let prev_line = Mem.read_u16 t.sim pr (node_off !jp_line + n_prev) in
@@ -1039,7 +1041,7 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
             let prev_pg = Mem.read_i32 t.sim pr h_prev in
             Buffer_pool.unpin t.pool !jp_pg;
             jp_pg := prev_pg;
-            if prev_pg = nil then None
+            if prev_pg = nil then nil
             else begin
               let pr2 = Buffer_pool.get t.pool prev_pg in
               jp_line := Mem.read_u16 t.sim pr2 h_last_leaf;
@@ -1056,12 +1058,13 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
     let pump () =
       if prefetch then
         while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
-          match jp_prev () with
-          | None -> done_prefetching := true
-          | Some pid ->
-              Buffer_pool.prefetch t.pool pid;
-              incr outstanding;
-              if pid = start_leaf then done_prefetching := true
+          let pid = jp_prev () in
+          if pid = nil then done_prefetching := true
+          else begin
+            Buffer_pool.prefetch t.pool pid;
+            incr outstanding;
+            if pid = start_leaf then done_prefetching := true
+          end
         done
     in
     pump ();

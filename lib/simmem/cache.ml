@@ -19,6 +19,16 @@
    until its completion time retires it.  A retiring slot installs its
    line only if the slot itself is still live.
 
+   Finding the live slot for a line would mean scanning the whole ring,
+   which stays full while a page is being prefetched.  A filter keeps the
+   number of live slots per bucket ([line land mh_mask]); a line whose
+   bucket count is zero is not in flight, and only a nonzero bucket pays
+   for the scan.  The bucket count is derived from [miss_handlers], so the
+   filter is not a knob and changes nothing but host time.
+
+   Cache geometry is restricted to powers of two (line size, L1 set
+   count, L2 line count), so set and index selection are masks.
+
    Every operation here runs on each simulated key and pointer read, so it
    is written as plain loops over preallocated arrays: nothing on these
    paths allocates on the host heap. *)
@@ -28,40 +38,58 @@ type t = {
   clock : Clock.t;
   stats : Stats.t;
   shift : int;
-  l1_sets : int;
+  l1_set_mask : int;  (* L1 sets - 1 *)
   l1_assoc : int;
   l1_tags : int array;  (* sets * assoc entries; -1 = invalid *)
   l1_stamp : int array;  (* LRU timestamps, parallel to l1_tags *)
-  l2_lines : int;
+  l2_mask : int;  (* L2 lines - 1 *)
   l2_tags : int array;  (* direct-mapped; -1 = invalid *)
   mh_line : int array;  (* per miss-handler slot: line fetched *)
   mh_completion : int array;  (* per slot: completion time *)
   mh_live : bool array;  (* per slot: line still in flight *)
+  mh_mask : int;  (* filter buckets - 1 *)
+  mh_bucket : int array;  (* per bucket: live slots whose line maps to it *)
   mutable mh_head : int;  (* oldest occupied slot *)
   mutable mh_len : int;  (* occupied slots, live or not *)
   mutable last_completion : int;
   mutable stamp : int;
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+(* The smallest power of two >= [n]. *)
+let pow2_at_least n =
+  let rec go p = if p >= n then p else go (2 * p) in
+  go 1
+
 let create cfg clock stats =
-  if cfg.Config.miss_handlers < 1 then
-    invalid_arg "Cache.create: miss_handlers must be positive";
-  let l1_sets = cfg.Config.l1_size / (cfg.line_size * cfg.l1_assoc) in
+  let bad field = invalid_arg ("Cache.create: " ^ field) in
+  if cfg.Config.miss_handlers < 1 then bad "miss_handlers must be positive";
+  if not (is_pow2 cfg.line_size) then bad "line_size must be a power of two";
+  if cfg.l1_assoc < 1 then bad "l1_assoc must be positive";
+  let l1_sets = cfg.l1_size / (cfg.line_size * cfg.l1_assoc) in
+  if not (is_pow2 l1_sets) then
+    bad "l1_size / (line_size * l1_assoc), the L1 set count, must be a power of two";
   let l2_lines = cfg.l2_size / cfg.line_size in
+  if not (is_pow2 l2_lines) then
+    bad "l2_size / line_size, the L2 line count, must be a power of two";
+  let buckets = pow2_at_least (8 * cfg.miss_handlers) in
   {
     cfg;
     clock;
     stats;
     shift = Config.line_shift cfg;
-    l1_sets;
+    l1_set_mask = l1_sets - 1;
     l1_assoc = cfg.l1_assoc;
     l1_tags = Array.make (l1_sets * cfg.l1_assoc) (-1);
     l1_stamp = Array.make (l1_sets * cfg.l1_assoc) 0;
-    l2_lines;
+    l2_mask = l2_lines - 1;
     l2_tags = Array.make l2_lines (-1);
     mh_line = Array.make cfg.miss_handlers 0;
     mh_completion = Array.make cfg.miss_handlers 0;
     mh_live = Array.make cfg.miss_handlers false;
+    mh_mask = buckets - 1;
+    mh_bucket = Array.make buckets 0;
     mh_head = 0;
     mh_len = 0;
     last_completion = min_int / 2;
@@ -71,6 +99,7 @@ let create cfg clock stats =
 let flush t =
   Array.fill t.l1_tags 0 (Array.length t.l1_tags) (-1);
   Array.fill t.l2_tags 0 (Array.length t.l2_tags) (-1);
+  Array.fill t.mh_bucket 0 (Array.length t.mh_bucket) 0;
   t.mh_head <- 0;
   t.mh_len <- 0;
   t.last_completion <- min_int / 2
@@ -80,22 +109,32 @@ let slot t k =
   let s = t.mh_head + k in
   if s >= t.cfg.Config.miss_handlers then s - t.cfg.Config.miss_handlers else s
 
-(* The live slot fetching [line], or -1. *)
-let inflight_slot t line =
-  let found = ref (-1) and k = ref 0 in
-  while !found < 0 && !k < t.mh_len do
-    let s = slot t !k in
-    if t.mh_live.(s) && t.mh_line.(s) = line then found := s;
-    incr k
-  done;
-  !found
+(* Slot [s] stops being live: its line is consumed, retired or killed. *)
+let kill_slot t s =
+  t.mh_live.(s) <- false;
+  let b = t.mh_line.(s) land t.mh_mask in
+  t.mh_bucket.(b) <- t.mh_bucket.(b) - 1
 
-let install_l2 t line = t.l2_tags.(line mod t.l2_lines) <- line
+(* The live slot fetching [line], or -1.  Scans the ring only when the
+   line's filter bucket holds a live slot. *)
+let inflight_slot t line =
+  if t.mh_bucket.(line land t.mh_mask) = 0 then -1
+  else begin
+    let found = ref (-1) and k = ref 0 in
+    while !found < 0 && !k < t.mh_len do
+      let s = slot t !k in
+      if t.mh_live.(s) && t.mh_line.(s) = line then found := s;
+      incr k
+    done;
+    !found
+  end
+
+let install_l2 t line = t.l2_tags.(line land t.l2_mask) <- line
 
 (* Fill [line] into its L1 set: the first invalid way, else the least
    recently used one. *)
 let install_l1 t line =
-  let base = line mod t.l1_sets * t.l1_assoc in
+  let base = (line land t.l1_set_mask) * t.l1_assoc in
   let last = base + t.l1_assoc in
   let victim = ref base and best = ref max_int and i = ref base in
   while !i < last do
@@ -116,7 +155,7 @@ let install_l1 t line =
   t.l1_stamp.(!victim) <- t.stamp
 
 let l1_lookup t line =
-  let base = line mod t.l1_sets * t.l1_assoc in
+  let base = (line land t.l1_set_mask) * t.l1_assoc in
   let last = base + t.l1_assoc in
   let i = ref base in
   while !i < last && t.l1_tags.(!i) <> line do
@@ -129,7 +168,7 @@ let l1_lookup t line =
   end
   else false
 
-let l2_lookup t line = t.l2_tags.(line mod t.l2_lines) = line
+let l2_lookup t line = t.l2_tags.(line land t.l2_mask) = line
 
 (* Retire completed prefetches (completion <= now), oldest first; a live
    slot installs its line into the caches. *)
@@ -138,6 +177,7 @@ let drain t =
   while t.mh_len > 0 && t.mh_completion.(t.mh_head) <= now do
     let s = t.mh_head in
     if t.mh_live.(s) then begin
+      kill_slot t s;
       install_l2 t t.mh_line.(s);
       install_l1 t t.mh_line.(s)
     end;
@@ -173,7 +213,7 @@ let access t addr =
     let s = inflight_slot t line in
     if s >= 0 then begin
       (* Prefetch in flight: wait only for the remaining latency. *)
-      t.mh_live.(s) <- false;
+      kill_slot t s;
       Fpb_obs.Counter.incr t.stats.Stats.prefetch_useful;
       stall t (t.mh_completion.(s) - Clock.now t.clock);
       install_l2 t line;
@@ -212,6 +252,8 @@ let prefetch t addr =
     t.mh_line.(s) <- line;
     t.mh_completion.(s) <- schedule_mem t;
     t.mh_live.(s) <- true;
+    let b = line land t.mh_mask in
+    t.mh_bucket.(b) <- t.mh_bucket.(b) + 1;
     t.mh_len <- t.mh_len + 1;
     Fpb_obs.Counter.incr t.stats.Stats.prefetch_issued
   end
@@ -241,17 +283,17 @@ let invalidate_range t addr len =
   if len > 0 then begin
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
     for line = first to last do
-      let base = line mod t.l1_sets * t.l1_assoc in
+      let base = (line land t.l1_set_mask) * t.l1_assoc in
       for w = 0 to t.l1_assoc - 1 do
         if t.l1_tags.(base + w) = line then t.l1_tags.(base + w) <- -1
       done;
-      let idx = line mod t.l2_lines in
+      let idx = line land t.l2_mask in
       if t.l2_tags.(idx) = line then t.l2_tags.(idx) <- -1
     done;
     for k = 0 to t.mh_len - 1 do
       let s = slot t k in
-      if t.mh_line.(s) >= first && t.mh_line.(s) <= last then
-        t.mh_live.(s) <- false
+      if t.mh_live.(s) && t.mh_line.(s) >= first && t.mh_line.(s) <= last then
+        kill_slot t s
     done
   end
 

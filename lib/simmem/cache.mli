@@ -12,6 +12,11 @@
 
 type t
 
+(** The geometry must be one the simulator can model: [line_size], the L1
+    set count [l1_size / (line_size * l1_assoc)] and the L2 line count
+    [l2_size / line_size] must be positive powers of two, and [l1_assoc]
+    and [miss_handlers] at least 1.  Otherwise raises [Invalid_argument]
+    naming the offending field. *)
 val create : Config.t -> Clock.t -> Stats.t -> t
 
 (** Drop all cached lines and in-flight prefetches. *)

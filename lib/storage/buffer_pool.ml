@@ -8,17 +8,25 @@
    sees a stable, conflict-realistic address space; reassigning a frame
    invalidates its CPU-cache lines.
 
-   The page table and CLOCK replacement are split into [n_shards]
-   independent shards keyed by a mix of the page id (PostgreSQL's
-   buffer-mapping partitions, LeanStore's partitioned pools).  Each shard
-   owns a disjoint slice of the frame arena, its own hash table, in-flight
-   map, CLOCK hand, and a simulated latch: acquiring the latch costs
+   CLOCK replacement is split into [n_shards] independent shards keyed by
+   a mix of the page id (PostgreSQL's buffer-mapping partitions,
+   LeanStore's partitioned pools).  Each shard owns a disjoint slice of
+   the frame arena, its own CLOCK hand, and a simulated latch that guards
+   the page-table entries of its pages: acquiring the latch costs
    [Cost_model.latch_cycles] busy time, and acquiring it while another
    logical client holds it (its release time lies in the acquirer's
    future) additionally waits until the holder releases, counted in
    [pool.shard.conflicts] / [pool.shard.waits_ns].  With one shard and one
    client the latch never conflicts and the pool behaves exactly like the
    pre-sharding implementation.
+
+   The page table itself is one dense array indexed by page id (page ids
+   are dense [Page_store] indices), grown by doubling, and a page's
+   prefetch completion time lives with its frame, so a lookup is an array
+   read rather than a hash probe.  Which shard owns a page is still fixed
+   by the page id, and a resident page's frame always lies in its shard's
+   slice, so partition semantics and latch costs are those of per-shard
+   tables.
 
    Prefetch requests are dispatched by a configurable pool of prefetcher
    threads (the paper's DB2 experiment varies exactly this): each request is
@@ -151,15 +159,12 @@ let () =
              | `Failed msg -> ", repair failed: " ^ msg))
     | _ -> None)
 
-(* One shard: a disjoint frame slice [lo, hi), its own page table,
-   in-flight map and CLOCK hand, plus the simulated latch state.  The
-   latch is a cost model, not a mutex: operations execute atomically in
-   host order, but [latch_free_at] records when the previous holder (in
-   simulated time) released, so a logical client arriving earlier pays
-   the wait. *)
+(* One shard: a disjoint frame slice [lo, hi) and its CLOCK hand, plus
+   the simulated latch state.  The latch is a cost model, not a mutex:
+   operations execute atomically in host order, but [latch_free_at]
+   records when the previous holder (in simulated time) released, so a
+   logical client arriving earlier pays the wait. *)
 type shard = {
-  table : (int, int) Hashtbl.t;  (* page id -> frame *)
-  inflight : (int, int) Hashtbl.t;  (* page id -> completion time *)
   lo : int;  (* first frame owned (inclusive) *)
   hi : int;  (* last frame owned (exclusive) *)
   mutable hand : int;
@@ -186,6 +191,9 @@ type t = {
   disks : Disk_model.t;
   capacity : int;
   frames : int array;  (* frame -> page id (Page_store.nil if empty) *)
+  mutable page_frame : int array;
+      (* page id -> frame, -1 if not resident; grown by doubling *)
+  inflight : int array;  (* frame -> prefetch completion time, -1 if none *)
   regions : Mem.region array;
       (* frame -> region of its page, refreshed by [assign_frame]; stale
          while the frame is empty *)
@@ -253,25 +261,36 @@ let latch_acquire t sh =
 
 let latch_release t sh = sh.latch_free_at <- Clock.now t.sim.Sim.clock
 
-(* Drop every trace of [page] from the pool without writing it back: frame,
-   ref bit, dirty bit, in-flight entry, CPU-cache lines.  Runs on every
-   [Page_store.free] (the pool registers itself as an observer), so a
-   free + realloc cycle can never resurrect stale frame state no matter
-   which layer initiated the free. *)
+let frame_of_page t page =
+  if page >= 0 && page < Array.length t.page_frame then t.page_frame.(page)
+  else -1
+
+(* Forget [frame]'s page-table entry and in-flight read; the frame keeps
+   its page id until the caller empties it. *)
+let unmap_frame t frame =
+  t.page_frame.(t.frames.(frame)) <- -1;
+  t.inflight.(frame) <- -1
+
+(* Empty an unpinned frame without write-back: page-table entry, ref bit,
+   dirty bit, in-flight read, CPU-cache lines. *)
+let drop_frame t frame =
+  unmap_frame t frame;
+  t.frames.(frame) <- Page_store.nil;
+  t.ref_bit.(frame) <- false;
+  t.dirty.(frame) <- false;
+  let page_size = Page_store.page_size t.store in
+  Cache.invalidate_range t.sim.Sim.cache (frame * page_size) page_size
+
+(* Drop every trace of [page] from the pool without writing it back.  Runs
+   on every [Page_store.free] (the pool registers itself as an observer),
+   so a free + realloc cycle can never resurrect stale frame state no
+   matter which layer initiated the free. *)
 let invalidate_page t page =
-  let sh = shard_of t page in
-  match Hashtbl.find_opt sh.table page with
-  | None -> Hashtbl.remove sh.inflight page
-  | Some frame ->
-      if t.pin.(frame) > 0 then
-        invalid_arg "Buffer_pool: freeing a pinned page";
-      Hashtbl.remove sh.table page;
-      Hashtbl.remove sh.inflight page;
-      t.frames.(frame) <- Page_store.nil;
-      t.ref_bit.(frame) <- false;
-      t.dirty.(frame) <- false;
-      let page_size = Page_store.page_size t.store in
-      Cache.invalidate_range t.sim.Sim.cache (frame * page_size) page_size
+  let frame = frame_of_page t page in
+  if frame >= 0 then begin
+    if t.pin.(frame) > 0 then invalid_arg "Buffer_pool: freeing a pinned page";
+    drop_frame t frame
+  end
 
 let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
     ~capacity sim store disks =
@@ -283,8 +302,6 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
         let lo = i * capacity / n_shards in
         let hi = (i + 1) * capacity / n_shards in
         {
-          table = Hashtbl.create (2 * (hi - lo));
-          inflight = Hashtbl.create 64;
           lo;
           hi;
           hand = lo;
@@ -300,6 +317,8 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
       disks;
       capacity;
       frames = Array.make capacity Page_store.nil;
+      page_frame = Array.make (2 * capacity) (-1);
+      inflight = Array.make capacity (-1);
       regions = Array.make capacity (Mem.make ~bytes:Bytes.empty ~base:0);
       ref_bit = Array.make capacity false;
       pin = Array.make capacity 0;
@@ -354,23 +373,30 @@ let reset_stats t =
 
 let kv t = stats_kv t.stats
 
-(* Make [frame] hold [page], building the region pins hand out so a pin
-   of a resident page allocates nothing. *)
+(* Make [frame] hold [page] and map the page to it, building the region
+   pins hand out so a pin of a resident page allocates nothing. *)
 let assign_frame t frame page =
+  let n = Array.length t.page_frame in
+  if page >= n then begin
+    let len = ref (2 * n) in
+    while page >= !len do
+      len := 2 * !len
+    done;
+    let grown = Array.make !len (-1) in
+    Array.blit t.page_frame 0 grown 0 n;
+    t.page_frame <- grown
+  end;
+  t.page_frame.(page) <- frame;
   t.frames.(frame) <- page;
   t.regions.(frame) <-
     Mem.make ~bytes:(Page_store.bytes t.store page)
       ~base:(frame * Page_store.page_size t.store)
 
-let evictable t sh frame =
+let evictable t frame =
   t.pin.(frame) = 0
   &&
-  match t.frames.(frame) with
-  | p when p = Page_store.nil -> true
-  | p -> (
-      match Hashtbl.find_opt sh.inflight p with
-      | Some c -> c <= Clock.now t.sim.Sim.clock
-      | None -> true)
+  let c = t.inflight.(frame) in
+  c < 0 || c <= Clock.now t.sim.Sim.clock
 
 let wait_until t when_ =
   let now = Clock.now t.sim.Sim.clock in
@@ -482,7 +508,7 @@ let victim_frame t sh =
     if steps > 2 * n then raise Pool_exhausted;
     let f = sh.hand in
     sh.hand <- (if f + 1 >= sh.hi then sh.lo else f + 1);
-    if not (evictable t sh f) then sweep (steps + 1)
+    if not (evictable t f) then sweep (steps + 1)
     else if t.frames.(f) <> Page_store.nil && t.ref_bit.(f) then begin
       t.ref_bit.(f) <- false;
       sweep (steps + 1)
@@ -493,8 +519,7 @@ let victim_frame t sh =
   (match t.frames.(f) with
   | p when p = Page_store.nil -> ()
   | p ->
-      Hashtbl.remove sh.table p;
-      Hashtbl.remove sh.inflight p;
+      unmap_frame t f;
       Counter.incr t.stats.evictions;
       if t.dirty.(f) then begin
         t.dirty.(f) <- false;
@@ -513,13 +538,10 @@ let victim_frame_waiting t sh =
   try victim_frame t sh
   with Pool_exhausted ->
     let earliest = ref max_int in
-    Hashtbl.iter
-      (fun page c ->
-        match Hashtbl.find_opt sh.table page with
-        | Some frame when t.pin.(frame) = 0 ->
-            if c < !earliest then earliest := c
-        | _ -> ())
-      sh.inflight;
+    for f = sh.lo to sh.hi - 1 do
+      let c = t.inflight.(f) in
+      if c >= 0 && t.pin.(f) = 0 && c < !earliest then earliest := c
+    done;
     if !earliest = max_int then raise Pool_exhausted
     else begin
       wait_until t !earliest;
@@ -548,24 +570,13 @@ let victim_frame_demand t sh page =
   in
   go 1
 
-(* Drop an unpinned frame whose page turned out unusable (failed
-   verification on arrival): forget the mapping without write-back. *)
-let drop_frame t sh frame page =
-  Hashtbl.remove sh.table page;
-  Hashtbl.remove sh.inflight page;
-  t.frames.(frame) <- Page_store.nil;
-  t.ref_bit.(frame) <- false;
-  t.dirty.(frame) <- false;
-  let page_size = Page_store.page_size t.store in
-  Cache.invalidate_range t.sim.Sim.cache (frame * page_size) page_size
-
 (* Request an asynchronous read of [page].  No-op if already resident or in
    flight.  The request is served by the earliest-available prefetcher.  A
    prefetcher does not retry or repair: on any I/O error it drops the hint
    (counted) and lets the eventual demand read do the fighting. *)
 let prefetch t page =
-  let sh = shard_of t page in
-  if not (Hashtbl.mem sh.table page) then begin
+  if frame_of_page t page < 0 then begin
+    let sh = shard_of t page in
     Sim.charge_busy t.sim t.prefetch_request_busy;
     latch_acquire t sh;
     (try
@@ -581,8 +592,7 @@ let prefetch t page =
        let install completion =
          t.prefetcher_free.(!worker) <- completion;
          assign_frame t frame page;
-         Hashtbl.replace sh.table page frame;
-         Hashtbl.replace sh.inflight page completion;
+         t.inflight.(frame) <- completion;
          Counter.incr t.stats.prefetch_issued
        in
        match Disk_model.read_result t.disks ~earliest ~disk ~phys () with
@@ -616,14 +626,15 @@ let issue_readahead t ~disk ~phys =
    read.  On checksum failure, escalate to repair; if that cannot produce
    the page, evict the frame before raising so the pool never serves bytes
    it knows are bad. *)
-let verify_arrival t sh page frame =
+let verify_arrival t page frame =
   Sim.busy_crc t.sim ~bytes:(Page_store.page_size t.store);
   match Page_store.verify t.store page with
   | Page_store.Ok -> ()
   | Page_store.Bad_crc { bad_sectors; _ } -> (
       Counter.incr t.stats.err_checksum;
+      (* the page turned out unusable: forget it without write-back *)
       let fail repair =
-        drop_frame t sh frame page;
+        drop_frame t frame;
         Counter.incr t.stats.err_unrecoverable;
         raise (Io_error { page; attempts = 1; cause = `Checksum; repair })
       in
@@ -640,7 +651,7 @@ let verify_arrival t sh page frame =
 (* Pin a page, reading it from disk if not resident.  Returns the region to
    access its contents through.  Must be balanced by [unpin].
 
-   Latch discipline: the shard latch covers the hash lookup and any
+   Latch discipline: the shard latch covers the page-table lookup and any
    frame-state mutation, but is released across disk waits (the remaining
    latency of an in-flight prefetch, or a demand media read) and
    re-acquired to install the result — holding a latch across I/O would
@@ -649,45 +660,41 @@ let get t page =
   let sh = shard_of t page in
   latch_acquire t sh;
   Sim.busy_bufcall t.sim;
-  match Hashtbl.find sh.table page with
-  | frame ->
-      (match Hashtbl.find_opt sh.inflight page with
-      | Some c ->
-          Hashtbl.remove sh.inflight page;
-          Counter.incr t.stats.prefetch_hits;
-          latch_release t sh;
-          wait_until t c;
-          verify_arrival t sh page frame;
-          latch_acquire t sh
-      | None -> Counter.incr t.stats.hits);
-      t.ref_bit.(frame) <- true;
-      t.pin.(frame) <- t.pin.(frame) + 1;
+  let frame = frame_of_page t page in
+  if frame >= 0 then begin
+    let c = t.inflight.(frame) in
+    if c >= 0 then begin
+      t.inflight.(frame) <- -1;
+      Counter.incr t.stats.prefetch_hits;
       latch_release t sh;
-      t.regions.(frame)
-  | exception Not_found ->
-      let frame =
-        try victim_frame_demand t sh page
-        with Overloaded _ as e ->
-          latch_release t sh;
-          raise e
-      in
-      let disk, phys = Page_store.location t.store page in
-      Counter.incr t.stats.misses;
-      latch_release t sh;
-      ignore (media_read t page ~disk ~phys : [ `Ok | `Repaired ]);
-      latch_acquire t sh;
-      assign_frame t frame page;
-      Hashtbl.replace sh.table page frame;
-      t.ref_bit.(frame) <- true;
-      t.pin.(frame) <- 1;
-      latch_release t sh;
-      if t.readahead > 0 then issue_readahead t ~disk ~phys;
-      t.regions.(frame)
-
-let frame_of_page t page =
-  match Hashtbl.find (shard_of t page).table page with
-  | frame -> frame
-  | exception Not_found -> -1
+      wait_until t c;
+      verify_arrival t page frame;
+      latch_acquire t sh
+    end
+    else Counter.incr t.stats.hits;
+    t.ref_bit.(frame) <- true;
+    t.pin.(frame) <- t.pin.(frame) + 1;
+    latch_release t sh;
+    t.regions.(frame)
+  end
+  else
+    let frame =
+      try victim_frame_demand t sh page
+      with Overloaded _ as e ->
+        latch_release t sh;
+        raise e
+    in
+    let disk, phys = Page_store.location t.store page in
+    Counter.incr t.stats.misses;
+    latch_release t sh;
+    ignore (media_read t page ~disk ~phys : [ `Ok | `Repaired ]);
+    latch_acquire t sh;
+    assign_frame t frame page;
+    t.ref_bit.(frame) <- true;
+    t.pin.(frame) <- 1;
+    latch_release t sh;
+    if t.readahead > 0 then issue_readahead t ~disk ~phys;
+    t.regions.(frame)
 
 let unpin t page =
   let frame = frame_of_page t page in
@@ -713,10 +720,7 @@ let get_batch t pages =
     (* Coalesce: async-read everything that would demand-miss.  A hint
        dropped because the pool is hot just falls back to the demand
        read below. *)
-    Array.iter
-      (fun p ->
-        if not (Hashtbl.mem (shard_of t p).table p) then prefetch t p)
-      pages;
+    Array.iter (fun p -> if frame_of_page t p < 0 then prefetch t p) pages;
     let acc = ref [] in
     let pinned = ref 0 in
     (try
@@ -742,7 +746,7 @@ let with_page t page f =
   let region = get t page in
   Fun.protect ~finally:(fun () -> unpin t page) (fun () -> f region)
 
-let is_resident t page = Hashtbl.mem (shard_of t page).table page
+let is_resident t page = frame_of_page t page >= 0
 
 (* Media check for the scrubber: read a non-resident page through the full
    retry/verify/repair path without installing it in a frame.  Resident
@@ -792,7 +796,6 @@ let create_page t =
       raise e
   in
   assign_frame t frame page;
-  Hashtbl.replace sh.table page frame;
   t.ref_bit.(frame) <- true;
   t.pin.(frame) <- 1;
   t.dirty.(frame) <- true;
@@ -825,9 +828,7 @@ let clear t =
     | p when p = Page_store.nil -> ()
     | p ->
         if t.pin.(f) > 0 then invalid_arg "Buffer_pool.clear: pinned page";
-        let sh = shard_of t p in
-        Hashtbl.remove sh.table p;
-        Hashtbl.remove sh.inflight p;
+        unmap_frame t f;
         if t.dirty.(f) then begin
           t.dirty.(f) <- false;
           write_back t p
@@ -883,18 +884,16 @@ let dirty_pages t =
 let drop_all t =
   let page_size = Page_store.page_size t.store in
   for f = 0 to t.capacity - 1 do
-    (match t.frames.(f) with
-    | p when p = Page_store.nil -> ()
-    | p ->
-        Hashtbl.remove (shard_of t p).table p;
-        Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size);
+    if t.frames.(f) <> Page_store.nil then begin
+      unmap_frame t f;
+      Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size
+    end;
     t.frames.(f) <- Page_store.nil;
     t.ref_bit.(f) <- false;
     t.dirty.(f) <- false;
     t.pin.(f) <- 0
   done;
-  Array.iter (fun sh -> Hashtbl.reset sh.inflight) t.shards;
   Array.fill t.prefetcher_free 0 (Array.length t.prefetcher_free) 0
 
 let resident_pages t =
-  Array.fold_left (fun a sh -> a + Hashtbl.length sh.table) 0 t.shards
+  Array.fold_left (fun a p -> if p = Page_store.nil then a else a + 1) 0 t.frames

@@ -1,10 +1,12 @@
 (** Buffer pool with sharded CLOCK replacement, pinning, asynchronous
     prefetch, and media-failure handling.
 
-    The page table and CLOCK replacement are split into [n_shards]
-    independent shards keyed by a mix of the page id, each owning a
-    disjoint slice of the frame arena with its own hash table, in-flight
-    map, CLOCK hand and simulated latch.  Acquiring a shard latch costs
+    CLOCK replacement is split into [n_shards] independent shards keyed
+    by a mix of the page id, each owning a disjoint slice of the frame
+    arena with its own CLOCK hand and simulated latch; a resident page's
+    frame always lies in its shard's slice.  The page table is one dense
+    page-id-indexed array and in-flight reads are tracked per frame, so
+    lookups cost an array read.  Acquiring a shard latch costs
     {!Fpb_simmem.Cost_model.latch_cycles} busy time; acquiring it while
     another logical client holds it (its release lies in the acquirer's
     simulated future) additionally waits, counted under

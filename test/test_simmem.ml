@@ -160,6 +160,67 @@ let test_reprefetch_after_invalidate () =
   check_int "stalls until the second completion" second (Clock.now clock);
   check_int "stall charged" (second - first) (cv stats.Stats.stall)
 
+let test_filter_shared_bucket () =
+  (* Lines 2^20 apart share a miss-handler filter bucket for any handler
+     count the simulator could be given, so the filter must fall back to
+     the ring to tell them apart. *)
+  let a = 0 and b = (1 lsl 20) * cfg.Config.line_size in
+  let both () =
+    let clock, stats, cache = fresh () in
+    Cache.prefetch cache a;
+    Cache.prefetch cache b;
+    check_int "both issued" 2 (cv stats.Stats.prefetch_issued);
+    (clock, stats, cache)
+  in
+  (* consuming one leaves the other in flight *)
+  let _clock, stats, cache = both () in
+  Cache.access cache a;
+  check_int "a consumed" 1 (cv stats.Stats.prefetch_useful);
+  Cache.prefetch cache b;
+  check_int "b still in flight: no re-issue" 2 (cv stats.Stats.prefetch_issued);
+  Cache.access cache b;
+  check_int "b consumed" 2 (cv stats.Stats.prefetch_useful);
+  check_int "no memory misses" 0 (cv stats.Stats.mem_misses);
+  (* invalidating one kills only that one *)
+  let _clock, stats, cache = both () in
+  Cache.invalidate_range cache a cfg.Config.line_size;
+  Cache.access cache b;
+  check_int "b survives a's invalidation" 1 (cv stats.Stats.prefetch_useful);
+  Cache.access cache a;
+  check_int "a no longer in flight" 1 (cv stats.Stats.prefetch_useful);
+  check_int "a misses to memory" 1 (cv stats.Stats.mem_misses);
+  (* a flush leaves neither in flight *)
+  let _clock, stats, cache = both () in
+  Cache.flush cache;
+  Cache.access cache a;
+  Cache.access cache b;
+  check_int "nothing prefetched after flush" 0 (cv stats.Stats.prefetch_useful);
+  check_int "both miss to memory" 2 (cv stats.Stats.mem_misses)
+
+let test_create_rejects_bad_geometry () =
+  let rejects field c =
+    match Cache.create c (Clock.create ()) (Stats.create ()) with
+    | _ -> Alcotest.failf "accepted a config with a bad %s" field
+    | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix:("Cache.create: " ^ field) msg) then
+          Alcotest.failf "error %S does not name %s" msg field
+  in
+  rejects "l1_size" { cfg with Config.l1_size = 0 };
+  rejects "l2_size" { cfg with Config.l2_size = 0 };
+  rejects "line_size" { cfg with Config.line_size = 48 };
+  rejects "line_size" { cfg with Config.line_size = 0 };
+  rejects "l1_assoc" { cfg with Config.l1_assoc = 0 };
+  (* three sets of a two-way L1 *)
+  rejects "l1_size" { cfg with Config.l1_size = 3 * 2 * 64 };
+  rejects "l2_size" { cfg with Config.l2_size = 3 * 64 };
+  rejects "miss_handlers" { cfg with Config.miss_handlers = 0 };
+  (* a non-power-of-two associativity is fine as long as the set count
+     is a power of two *)
+  ignore
+    (Cache.create
+       { cfg with Config.l1_assoc = 3; l1_size = 3 * 64 * 64 }
+       (Clock.create ()) (Stats.create ()))
+
 (* --- Differential test against a list-based reference model --------------
 
    The model restates the documented semantics as directly as possible:
@@ -684,6 +745,10 @@ let suite =
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
     Alcotest.test_case "re-prefetch after invalidate" `Quick
       test_reprefetch_after_invalidate;
+    Alcotest.test_case "two in-flight lines in one filter bucket" `Quick
+      test_filter_shared_bucket;
+    Alcotest.test_case "create rejects geometry it cannot model" `Quick
+      test_create_rejects_bad_geometry;
     prop_prefetch_batch_cost;
     prop_cache_matches_model;
     Alcotest.test_case "cache charge path allocates nothing" `Quick

@@ -382,6 +382,172 @@ let prop_clock_never_past_capacity =
         accesses;
       true)
 
+(* --- Page table under random page lifecycles ------------------------------- *)
+
+type pool_op =
+  | Create
+  | Alloc
+  | Get of int
+  | Unpin of int
+  | Prefetch of int
+  | Free of int
+  | Advance of int
+  | Clear
+  | Drop_all
+
+let show_pool_op = function
+  | Create -> "create_page"
+  | Alloc -> "alloc"
+  | Get i -> Printf.sprintf "get #%d" i
+  | Unpin i -> Printf.sprintf "unpin #%d" i
+  | Prefetch i -> Printf.sprintf "prefetch #%d" i
+  | Free i -> Printf.sprintf "free_page #%d" i
+  | Advance n -> Printf.sprintf "advance %d" n
+  | Clear -> "clear"
+  | Drop_all -> "drop_all"
+
+let gen_pool_ops =
+  let open QCheck2.Gen in
+  let pick = 0 -- 999 in
+  let op =
+    frequency
+      [
+        (3, pure Create);
+        (2, pure Alloc);
+        (6, map (fun i -> Get i) pick);
+        (5, map (fun i -> Unpin i) pick);
+        (4, map (fun i -> Prefetch i) pick);
+        (2, map (fun i -> Free i) pick);
+        (2, map (fun n -> Advance n) (0 -- 20_000_000));
+        (1, pure Clear);
+        (1, pure Drop_all);
+      ]
+  in
+  pair (4 -- 8) (list_size (20 -- 150) op)
+
+let prop_page_table_consistent =
+  (* Random create/get/unpin/prefetch/free/clear/drop_all sequences on a
+     2-shard pool.  Pages are named by index into the live set ([#i] is
+     taken mod its size).  The pool starts with three pages per frame,
+     more than the page table's initial two entries per frame, and pins
+     the highest first, so the table's growth path runs every case.
+     After every step: resident pages sit in distinct frames, each inside
+     its own shard's slice; [resident_pages] counts them; no page on the
+     store's free list is resident; every pinned page is. *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"page table consistent over random page lifecycles"
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity=%d: %s" capacity
+           (String.concat "; " (List.map show_pool_op ops)))
+       gen_pool_ops
+       (fun (capacity, ops) ->
+         let n_shards = 2 in
+         let sim, store, _, pool = Util.make_system ~capacity ~n_shards () in
+         let live = ref [] and max_id = ref 0 in
+         let pins = Hashtbl.create 16 in
+         let add p =
+           live := !live @ [ p ];
+           max_id := max !max_id p
+         in
+         for _ = 1 to 3 * capacity do
+           add (Page_store.alloc store)
+         done;
+         let pick i =
+           match !live with
+           | [] -> None
+           | l -> Some (List.nth l (i mod List.length l))
+         in
+         let pin_count p = Option.value ~default:0 (Hashtbl.find_opt pins p) in
+         let set_pins p n =
+           if n = 0 then Hashtbl.remove pins p else Hashtbl.replace pins p n
+         in
+         let refusable f = try f () with Buffer_pool.Overloaded _ -> () in
+         let step = function
+           | Create ->
+               refusable (fun () ->
+                   let p, _ = Buffer_pool.create_page pool in
+                   add p;
+                   set_pins p 1)
+           | Alloc -> add (Page_store.alloc store)
+           | Get i ->
+               Option.iter
+                 (fun p ->
+                   refusable (fun () ->
+                       ignore (Buffer_pool.get pool p);
+                       set_pins p (pin_count p + 1)))
+                 (pick i)
+           | Unpin i -> (
+               match pick i with
+               | Some p when pin_count p > 0 ->
+                   Buffer_pool.unpin pool p;
+                   set_pins p (pin_count p - 1)
+               | _ -> ())
+           | Prefetch i -> Option.iter (Buffer_pool.prefetch pool) (pick i)
+           | Free i -> (
+               match pick i with
+               | Some p when pin_count p = 0 ->
+                   Buffer_pool.free_page pool p;
+                   live := List.filter (( <> ) p) !live
+               | _ -> ())
+           | Advance n -> Clock.advance sim.Sim.clock n
+           | Clear ->
+               Hashtbl.iter
+                 (fun p n ->
+                   for _ = 1 to n do
+                     Buffer_pool.unpin pool p
+                   done)
+                 pins;
+               Hashtbl.reset pins;
+               Buffer_pool.clear pool
+           | Drop_all ->
+               Hashtbl.reset pins;
+               Buffer_pool.drop_all pool
+         in
+         let check i op =
+           let fail fmt =
+             QCheck2.Test.fail_reportf ("step %d (%s): " ^^ fmt) i (show_pool_op op)
+           in
+           let freed = Page_store.free_list store in
+           let owner = Array.make capacity Page_store.nil in
+           let resident = ref 0 in
+           for p = 1 to List.fold_left max !max_id freed do
+             if Buffer_pool.is_resident pool p then begin
+               incr resident;
+               let f = Buffer_pool.frame_of_page pool p in
+               if owner.(f) <> Page_store.nil then
+                 fail "pages %d and %d share frame %d" owner.(f) p f;
+               owner.(f) <- p;
+               let s = Buffer_pool.shard_of_page pool p in
+               let lo = s * capacity / n_shards
+               and hi = (s + 1) * capacity / n_shards in
+               if f < lo || f >= hi then
+                 fail "page %d of shard %d in frame %d outside [%d, %d)" p s f
+                   lo hi
+             end
+           done;
+           if Buffer_pool.resident_pages pool <> !resident then
+             fail "resident_pages %d, but %d pages are resident"
+               (Buffer_pool.resident_pages pool) !resident;
+           List.iter
+             (fun p ->
+               if Buffer_pool.is_resident pool p then
+                 fail "freed page %d is resident" p)
+             freed;
+           Hashtbl.iter
+             (fun p _ ->
+               if not (Buffer_pool.is_resident pool p) then
+                 fail "pinned page %d is not resident" p)
+             pins
+         in
+         let last = (3 * capacity) - 1 in
+         List.iteri
+           (fun i op ->
+             step op;
+             check i op)
+           (Get last :: Unpin last :: ops);
+         true))
+
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
@@ -408,4 +574,5 @@ let suite =
       test_multi_client_pin_evict;
     prop_sharded_pool_equivalent;
     prop_clock_never_past_capacity;
+    prop_page_table_consistent;
   ]
