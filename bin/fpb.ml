@@ -382,10 +382,11 @@ let ycsb_cmd =
       value & opt int 1
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Serve reads as N-probe batched level-wise descents \
-             ([search_batch]) through one size-or-timeout batch server; \
-             writes fall back to singleton descents.  Open loop only; 1 \
-             disables")
+            "Dispatch up to N queued ops per client at once under the \
+             size-or-timeout rule, serving their reads as one batched \
+             level-wise descent ([search_batch]); writes fall back to \
+             singleton descents.  Open loop only; --clients sets the \
+             number of batch servers.  1 disables")
   in
   let batch_wait =
     Arg.(
@@ -429,12 +430,6 @@ let ycsb_cmd =
         if batch > 1 && rate = None then
           `Error
             (false, "--batch requires --rate: batched service is open-loop")
-        else if batch > 1 && (deadline <> None || admission <> None || retry <> None)
-        then
-          `Error
-            ( false,
-              "--batch does not compose with --deadline/--policy/--retry \
-               (those belong to the per-client open-loop driver)" )
         else
             let rng = W.Prng.create seed in
             let pairs = W.Keygen.bulk_pairs rng keys in
@@ -490,54 +485,6 @@ let ycsb_cmd =
                   (Fpb_obs.Histogram.percentile h 99.9)
               in
               (match rate with
-              | Some rate when batch > 1 ->
-                  (* Batched discipline: one size-or-timeout server; each
-                     dispatch draws the batch's actions from the mix,
-                     serves all reads as ONE level-wise descent wave and
-                     everything else as singleton descents. *)
-                  let discipline =
-                    if fixed then W.Arrival.Fixed else W.Arrival.Poisson
-                  in
-                  let exec seqs =
-                    let reads = ref [] in
-                    Array.iter
-                      (fun (_ : int) ->
-                        match W.Mix.next gen with
-                        | W.Mix.Read k -> reads := k :: !reads
-                        | act -> W.Mix.execute idx ~commit act)
-                      seqs;
-                    match !reads with
-                    | [] -> ()
-                    | ks ->
-                        ignore
-                          (Index_sig.search_batch idx (Array.of_list ks))
-                  in
-                  let s =
-                    W.Batch.run ~sim:sys.Setup.sim ~n_ops:ops
-                      ~rate_ops_per_s:rate ~discipline ~seed:(seed + 3)
-                      ~batch ~batch_wait_ns:batch_wait exec
-                  in
-                  Fmt.pr
-                    "open loop batched (%s): offered %.1f, achieved %.1f \
-                     ops per simulated second@."
-                    (W.Arrival.discipline_name s.W.Batch.discipline)
-                    s.W.Batch.offered_ops_per_s
-                    s.W.Batch.throughput_ops_per_s;
-                  Fmt.pr
-                    "  %d batches, mean fill %.2f of cap %d (wait cap %d \
-                     ns), backlog peak %d@."
-                    s.W.Batch.batches s.W.Batch.mean_batch
-                    s.W.Batch.batch_cap s.W.Batch.batch_wait_ns
-                    s.W.Batch.max_backlog;
-                  let bv c = Fpb_obs.Counter.value c in
-                  Fmt.pr
-                    "  shared nodes %d, dup probes %d, pipeline stalls %d@."
-                    (bv Batch_stats.shared_nodes)
-                    (bv Batch_stats.dup_probes)
-                    (bv Batch_stats.pipeline_stalls);
-                  report "latency" s.W.Batch.latency;
-                  report "wait" s.W.Batch.wait_ns;
-                  report "service" s.W.Batch.service_ns
               | None ->
                   let s =
                     W.Clients.run ~sim:sys.Setup.sim ~n_clients:clients
@@ -552,11 +499,31 @@ let ycsb_cmd =
                   let discipline =
                     if fixed then W.Arrival.Fixed else W.Arrival.Poisson
                   in
+                  (* Each dispatch draws its group's actions from the mix;
+                     with --batch the group's reads run as ONE level-wise
+                     descent wave and everything else as singleton
+                     descents. *)
+                  let exec ~client seqs =
+                    if batch = 1 then op ~client ~seq:seqs.(0)
+                    else
+                      let reads = ref [] in
+                      Array.iter
+                        (fun (_ : int) ->
+                          match W.Mix.next gen with
+                          | W.Mix.Read k -> reads := k :: !reads
+                          | act -> W.Mix.execute idx ~commit act)
+                        seqs;
+                      match !reads with
+                      | [] -> ()
+                      | ks ->
+                          ignore
+                            (Index_sig.search_batch idx (Array.of_list ks))
+                  in
                   let s =
-                    W.Arrival.run ~sim:sys.Setup.sim ~n_clients:clients
+                    W.Arrival.run_batched ~sim:sys.Setup.sim ~n_clients:clients
                       ~n_ops:ops ~rate_ops_per_s:rate ~discipline
                       ~seed:(seed + 3) ?deadline_ns:deadline ?admission ?retry
-                      op
+                      ~batch ~batch_wait_ns:batch_wait exec
                   in
                   Fmt.pr
                     "open loop (%s): offered %.1f, achieved %.1f ops per \
@@ -570,6 +537,20 @@ let ycsb_cmd =
                      %d, dropped %d@."
                     s.W.Arrival.completed s.W.Arrival.good s.W.Arrival.shed
                     s.W.Arrival.expired s.W.Arrival.retries s.W.Arrival.dropped;
+                  if batch > 1 then begin
+                    let bv c = Fpb_obs.Counter.value c in
+                    Fmt.pr
+                      "  %d batches, mean fill %.2f of cap %d (wait cap %d \
+                       ns); shared nodes %d, dup probes %d, pipeline stalls \
+                       %d@."
+                      s.W.Arrival.batches
+                      (float_of_int s.W.Arrival.completed
+                      /. float_of_int (max 1 s.W.Arrival.batches))
+                      batch batch_wait
+                      (bv Batch_stats.shared_nodes)
+                      (bv Batch_stats.dup_probes)
+                      (bv Batch_stats.pipeline_stalls)
+                  end;
                   Fmt.pr
                     "  backlog peak %d at %.6f s; above watermark (%d) for \
                      %.6f s@."

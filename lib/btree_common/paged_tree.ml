@@ -750,11 +750,4 @@ module Make (F : PAGE_FORMAT) = struct
     | first :: _ ->
         let chained = chain first [] in
         if chained <> expected then fail "leaf chain disagrees with tree order"
-
-  (* amcheck-style entry point: the structural check as data, for the
-     scrub and chaos harnesses that must keep counting past a failure. *)
-  let check_invariants t =
-    match check t with
-    | () -> Ok (page_count t)
-    | exception Failure msg -> Error msg
 end

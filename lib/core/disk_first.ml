@@ -1263,10 +1263,3 @@ let check t =
   | [] -> ()
   | first :: _ ->
       if chain first [] <> expected then fail "leaf page chain disagrees"
-
-(* amcheck-style entry point: the structural check as data, for the scrub
-   and chaos harnesses that must keep counting past a failure. *)
-let check_invariants t =
-  match check t with
-  | () -> Ok (page_count t)
-  | exception Failure msg -> Error msg

@@ -100,8 +100,4 @@ val set_trace : t -> Fpb_obs.Trace.t option -> unit
 
 val check : t -> unit
 
-(** amcheck-style verification: [check] as data — [Ok pages_owned] or
-    [Error description] — so scrub/chaos harnesses can keep counting. *)
-val check_invariants : t -> (int, string) result
-
 val iter : t -> (int -> int -> unit) -> unit

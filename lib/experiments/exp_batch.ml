@@ -19,7 +19,7 @@
               the batched speedup.
      batch-c  arrival discipline around capacity: one singleton server
               (open loop, per-op FIFO) vs the same server batching under
-              the size-or-timeout rule ({!Fpb_workload.Batch}).  Below
+              the size-or-timeout rule ([Arrival.run_batched]).  Below
               saturation batching pays a latency floor — an op waits for
               company — while past capacity the batched server's higher
               service rate keeps the backlog and the tail bounded. *)
@@ -274,13 +274,18 @@ let record_arr c =
   Telemetry.add (Printf.sprintf "batch.c.%s.max_backlog" slug) c.backlog;
   c
 
-let open_single scale ~pool_pages ~label ~rate =
+(* [batch = 1] is the singleton server, the pre-batching baseline. *)
+let open_loop scale ~pool_pages ~label ~rate ~batch ~batch_wait_ns =
   with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun sys idx keys ->
       let np = Array.length keys in
       let s =
-        W.Arrival.run ~sim:sys.Setup.sim ~n_clients:1 ~n_ops:np
-          ~rate_ops_per_s:rate (fun ~client:_ ~seq ->
-            ignore (Index_sig.search idx keys.(seq)))
+        W.Arrival.run_batched ~sim:sys.Setup.sim ~n_clients:1 ~n_ops:np
+          ~rate_ops_per_s:rate ~batch ~batch_wait_ns (fun ~client:_ seqs ->
+            if batch = 1 then ignore (Index_sig.search idx keys.(seqs.(0)))
+            else
+              ignore
+                (Index_sig.search_batch idx
+                   (Array.map (fun seq -> keys.(seq)) seqs)))
       in
       record_arr
         {
@@ -289,27 +294,12 @@ let open_single scale ~pool_pages ~label ~rate =
           tput = s.W.Arrival.throughput_ops_per_s;
           latency = s.W.Arrival.latency;
           backlog = s.W.Arrival.max_backlog;
-          mean_batch = None;
-        })
-
-let open_batched scale ~pool_pages ~label ~rate ~batch ~batch_wait_ns =
-  with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun sys idx keys ->
-      let np = Array.length keys in
-      let s =
-        W.Batch.run ~sim:sys.Setup.sim ~n_ops:np ~rate_ops_per_s:rate ~batch
-          ~batch_wait_ns (fun seqs ->
-            ignore
-              (Index_sig.search_batch idx
-                 (Array.map (fun seq -> keys.(seq)) seqs)))
-      in
-      record_arr
-        {
-          label;
-          offered = s.W.Batch.offered_ops_per_s;
-          tput = s.W.Batch.throughput_ops_per_s;
-          latency = s.W.Batch.latency;
-          backlog = s.W.Batch.max_backlog;
-          mean_batch = Some s.W.Batch.mean_batch;
+          mean_batch =
+            (if batch = 1 then None
+             else
+               Some
+                 (float_of_int s.W.Arrival.completed
+                 /. float_of_int (max 1 s.W.Arrival.batches)));
         })
 
 let arrival_sweep scale =
@@ -324,12 +314,12 @@ let arrival_sweep scale =
     List.concat_map
       (fun pct ->
         let rate = cap *. float_of_int pct /. 100. in
-        open_single scale ~pool_pages
+        open_loop scale ~pool_pages
           ~label:(Printf.sprintf "single r%d" pct)
-          ~rate
+          ~rate ~batch:1 ~batch_wait_ns
         :: List.map
              (fun b ->
-               open_batched scale ~pool_pages
+               open_loop scale ~pool_pages
                  ~label:(Printf.sprintf "b%d r%d" b pct)
                  ~rate ~batch:b ~batch_wait_ns)
              [ 8; 32 ])

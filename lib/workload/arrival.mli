@@ -1,26 +1,30 @@
 (** Open-loop arrival driver over the discrete-event clock, with
-    overload control.
+    overload control and size-or-timeout batched dispatch.
 
     Where {!Clients.run} is closed-loop (each client issues its next
     operation when the previous one completes, so offered load adapts
     to capacity and overload shows up only as a throughput plateau),
-    [Arrival.run] is open-loop: operations arrive on a simulated-time
+    this driver is open-loop: operations arrive on a simulated-time
     schedule — Poisson or fixed-rate at [rate_ops_per_s] — that is
     independent of how the system keeps up, like traffic from a large
     population of independent users.  Arrivals are appended round-robin
-    to [n_clients] per-client FIFO queues; each client serves its queue
-    one operation at a time under the same conservative discrete-event
-    discipline as {!Clients.run}.
+    to [n_clients] per-client FIFO queues.  {!run} serves each queue one
+    operation at a time; {!run_batched} dispatches up to [batch] ops
+    per client at once, as soon as [batch] are queued or once the
+    oldest has waited [batch_wait_ns] (the size-or-timeout rule), for
+    level-wise batched descents ([docs/BATCHING.md]).  Both follow the
+    same conservative discrete-event discipline as {!Clients.run}.
 
     Past saturation an undefended open-loop system has unbounded queues
-    and an exploding tail, so the driver carries the standard defenses:
-    per-op {e deadlines} ([deadline_ns]), a pluggable {e admission
-    policy} ({!Admission.t}) that sheds at arrival, a {e client retry
-    policy} ({!Retry.t}) that re-enters shed/expired ops with a bounded
-    budget (the retry-storm knob), and a two-phase rate schedule
-    ([rate_change]) whose second phase is reported separately so
-    metastable failures are measurable.  Latency is recorded from the
-    op's {e first arrival}.  See [docs/WORKLOADS.md]. *)
+    and an exploding tail, so the driver carries the standard defenses,
+    at every batch size: per-op {e deadlines} ([deadline_ns]), a
+    pluggable {e admission policy} ({!Admission.t}) that sheds at
+    arrival, a {e client retry policy} ({!Retry.t}) that re-enters
+    shed/expired ops with a bounded budget (the retry-storm knob), and
+    a two-phase rate schedule ([rate_change]) whose second phase is
+    reported separately so metastable failures are measurable.  Latency
+    is recorded from the op's {e first arrival}.  See
+    [docs/WORKLOADS.md]. *)
 
 (** Inter-arrival law: [Poisson] (exponential gaps, the memoryless
     many-independent-users model) or [Fixed] (constant gap, a paced
@@ -51,11 +55,11 @@ type stats = {
       (** per completed op, first arrival → completion
           ([arrival.latency_ns]) — queueing and retry delay included *)
   queue_ns : Fpb_obs.Histogram.t;
-      (** per dispatched attempt, (re-)enqueue → dispatch
+      (** per served attempt, (re-)enqueue → dispatch
           ([arrival.queue_ns]) *)
   service_ns : Fpb_obs.Histogram.t;
-      (** per dispatched attempt, dispatch → completion
-          ([arrival.service_ns]) *)
+      (** per dispatch that served at least one op, dispatch →
+          completion ([arrival.service_ns]) *)
   throughput_ops_per_s : float;  (** completed ops / makespan *)
   max_backlog : int;
       (** peak number of admitted ops waiting in queues *)
@@ -67,6 +71,9 @@ type stats = {
           [backlog_watermark] *)
   backlog_watermark : int;  (** the watermark used (default 4×clients) *)
   completed : int;  (** ops actually serviced *)
+  batches : int;
+      (** dispatches that served at least one op ([= completed] for
+          {!run}) *)
   good : int;  (** completed within their deadline (= [completed] when
                    no deadline is set) *)
   shed : int;  (** admission rejections (events; retries re-offer) *)
@@ -114,4 +121,39 @@ val run :
   ?backlog_watermark:int ->
   ?live_backlog:int ref ->
   (client:int -> seq:int -> unit) ->
+  stats
+
+(** [run_batched ~sim ~n_clients ~n_ops ~rate_ops_per_s ~batch
+    ~batch_wait_ns exec] is {!run} with size-or-timeout dispatch: a
+    client with [batch] ops queued dispatches at
+    max(its previous completion, the [batch]-th op's enqueue time),
+    otherwise at max(its previous completion, its head's enqueue time +
+    [batch_wait_ns]), and takes up to [batch] ops off its queue.
+    [exec ~client seqs] receives a fresh array of the group's ops in
+    FIFO order and must advance the simulated clock by the whole
+    group's service time.  [batch = 1] dispatches exactly as {!run}.
+
+    Every optional argument means what it means for {!run}.  Under
+    {!Admission.Deadline_aware}, ops already past their deadline are
+    dropped from the group before [exec] (the group is not refilled),
+    and the projected wait counts the dispatches ahead of the op:
+    ceil(queue depth / [batch]) × the service-time estimate.
+    @raise Invalid_argument as {!run}, or if [batch < 1] or
+    [batch_wait_ns < 0]. *)
+val run_batched :
+  sim:Fpb_simmem.Sim.t ->
+  n_clients:int ->
+  n_ops:int ->
+  rate_ops_per_s:float ->
+  ?discipline:discipline ->
+  ?seed:int ->
+  ?deadline_ns:int ->
+  ?admission:Admission.t ->
+  ?retry:Retry.t ->
+  ?rate_change:int * float ->
+  ?backlog_watermark:int ->
+  ?live_backlog:int ref ->
+  batch:int ->
+  batch_wait_ns:int ->
+  (client:int -> int array -> unit) ->
   stats

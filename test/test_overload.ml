@@ -11,15 +11,25 @@ module Page_store = Fpb_storage.Page_store
 module Scrub = Fpb_storage.Scrub
 
 (* Synthetic fixed-service op: with [n_clients] clients the system's
-   capacity is exactly n_clients / service. *)
+   capacity is exactly n_clients / service.  With [batch], each client
+   serves up to [batch] ops per dispatch in the same fixed time (so
+   capacity is batch x n_clients / service) and waits at most one
+   service time for a group to fill. *)
 let service_ns = 1_000_000
 
 let run_fixed ?deadline_ns ?admission ?retry ?(n_ops = 2_000)
-    ?(n_clients = 4) rate =
+    ?(n_clients = 4) ?batch rate =
   let sim = Sim.create () in
-  Arrival.run ~sim ~n_clients ~n_ops ~rate_ops_per_s:rate
-    ~discipline:Arrival.Fixed ~seed:7 ?deadline_ns ?admission ?retry
-    (fun ~client:_ ~seq:_ -> Clock.advance sim.Sim.clock service_ns)
+  let serve () = Clock.advance sim.Sim.clock service_ns in
+  match batch with
+  | None ->
+      Arrival.run ~sim ~n_clients ~n_ops ~rate_ops_per_s:rate
+        ~discipline:Arrival.Fixed ~seed:7 ?deadline_ns ?admission ?retry
+        (fun ~client:_ ~seq:_ -> serve ())
+  | Some batch ->
+      Arrival.run_batched ~sim ~n_clients ~n_ops ~rate_ops_per_s:rate
+        ~discipline:Arrival.Fixed ~seed:7 ?deadline_ns ?admission ?retry ~batch
+        ~batch_wait_ns:service_ns (fun ~client:_ _ -> serve ())
 
 (* Queue-cap loss oracle.  Deterministic arrivals at twice capacity
    against bounded queues: once the queues fill, the system admits at
@@ -47,24 +57,41 @@ let test_queue_cap_loss_closed_form () =
       (n_clients * cap)
 
 (* Deadline-aware dispatch: an op is never *started* past its deadline,
-   so no completion can be later than deadline + one service time; ops
-   it cannot serve in time are shed or expired, never silently lost. *)
+   so no completion can be later than deadline + one service time (one
+   dispatch's, whatever the group size); ops it cannot serve in time are
+   shed or expired, never silently lost.  Holds one op at a time and for
+   groups of 4 on 2 clients (1.5x that capacity). *)
 let test_deadline_aware_never_serves_stale () =
   let deadline_ns = 10 * service_ns in
-  let st =
-    run_fixed ~deadline_ns ~admission:Admission.Deadline_aware 12_000.
+  let check ?batch ?n_clients () =
+    let st =
+      run_fixed ~deadline_ns ~admission:Admission.Deadline_aware ?batch
+        ?n_clients 12_000.
+    in
+    let worst = Fpb_obs.Histogram.max_value st.Arrival.latency in
+    if worst > deadline_ns + service_ns then
+      Alcotest.failf "completion at %d ns, deadline %d + service %d" worst
+        deadline_ns service_ns;
+    Alcotest.(check int) "completed + dropped = offered" st.Arrival.ops
+      (st.Arrival.completed + st.Arrival.dropped);
+    if st.Arrival.good > st.Arrival.completed then
+      Alcotest.failf "good %d > completed %d" st.Arrival.good
+        st.Arrival.completed;
+    if st.Arrival.shed = 0 then
+      Alcotest.failf "past capacity, deadline admission must shed"
   in
-  let worst = Fpb_obs.Histogram.max_value st.Arrival.latency in
-  if worst > deadline_ns + service_ns then
-    Alcotest.failf "completion at %d ns, deadline %d + service %d" worst
-      deadline_ns service_ns;
-  Alcotest.(check int) "completed + dropped = offered" st.Arrival.ops
-    (st.Arrival.completed + st.Arrival.dropped);
-  if st.Arrival.good > st.Arrival.completed then
-    Alcotest.failf "good %d > completed %d" st.Arrival.good
-      st.Arrival.completed;
-  if st.Arrival.shed = 0 then
-    Alcotest.failf "3x capacity with deadline admission must shed"
+  check ();
+  check ~batch:4 ~n_clients:2 ();
+  (* Waiting for company counts against the deadline: at 1000 ops/s on
+     2 clients a group of 4 never fills, so every op waits out the 1 ms
+     timeout, past its 0.5 ms deadline, and is dropped unserved. *)
+  let st =
+    run_fixed ~deadline_ns:(service_ns / 2)
+      ~admission:Admission.Deadline_aware ~batch:4 ~n_clients:2 1_000.
+  in
+  Alcotest.(check int) "every op expired at dispatch" st.Arrival.ops
+    st.Arrival.expired;
+  Alcotest.(check int) "none served" 0 st.Arrival.completed
 
 (* Backlog telemetry: past capacity the backlog peaks and the run
    spends real time above the watermark; below capacity with fixed
@@ -85,7 +112,7 @@ let test_backlog_accounting () =
 
 (* Retry budgets terminate: whatever the rate, discipline and budget,
    every op either completes or is dropped, and the re-entry count is
-   bounded by ops x budget. *)
+   bounded by ops x budget — one op at a time and in groups of 4. *)
 let test_retry_budget_terminates =
   Util.qtest ~count:25 "retry budget terminates (no livelock)"
     QCheck2.Gen.(
@@ -101,13 +128,17 @@ let test_retry_budget_terminates =
           }
         else { Retry.discipline = Retry.Fixed 200_000; budget }
       in
-      let st =
-        run_fixed ~n_ops:300 ~deadline_ns:(4 * service_ns)
-          ~admission:(Admission.Queue_cap 4) ~retry (float_of_int rate)
+      let terminates ?batch ?n_clients () =
+        let st =
+          run_fixed ~n_ops:300 ~deadline_ns:(4 * service_ns)
+            ~admission:(Admission.Queue_cap 4) ~retry ?batch ?n_clients
+            (float_of_int rate)
+        in
+        st.Arrival.completed + st.Arrival.dropped = st.Arrival.ops
+        && st.Arrival.retries <= st.Arrival.ops * budget
+        && st.Arrival.dropped <= st.Arrival.shed
       in
-      st.Arrival.completed + st.Arrival.dropped = st.Arrival.ops
-      && st.Arrival.retries <= st.Arrival.ops * budget
-      && st.Arrival.dropped <= st.Arrival.shed)
+      terminates () && terminates ~batch:4 ~n_clients:2 ())
 
 (* A fully-pinned pool refuses demand work with the typed [Overloaded]
    (counting it) at every capacity, and serves again after one unpin. *)

@@ -1,7 +1,8 @@
 (* YCSB workload suite tests: distribution shape against closed-form
    targets, mix proportion convergence, and the open-loop queueing
    semantics of [Arrival] (latency measured from arrival, so an
-   overloaded schedule must show p99 far above the service time). *)
+   overloaded schedule must show p99 far above the service time), and
+   its size-or-timeout batched dispatch against a reference model. *)
 
 open Fpb_workload
 
@@ -185,20 +186,150 @@ let test_open_loop_queueing () =
   if abs (hot.Arrival.makespan_ns - want) > want / 10 then
     Alcotest.failf "makespan %d ns, want ~%d ns" hot.Arrival.makespan_ns want
 
-(* Every op is dispatched exactly once, in per-client FIFO order. *)
+(* Every op is dispatched exactly once, on client [seq mod n_clients],
+   in per-client FIFO order — one op at a time, and in groups. *)
 let test_open_loop_dispatches_all () =
+  let n_ops = 500 in
+  let check_fifo last ~client seq =
+    Alcotest.(check int) "round-robin client" (seq mod 3) client;
+    if seq <= last.(client) then
+      Alcotest.failf "client %d: seq %d after %d, not FIFO" client seq
+        last.(client);
+    last.(client) <- seq
+  in
+  let check_once seen =
+    Array.iteri
+      (fun j c -> if c <> 1 then Alcotest.failf "op %d dispatched %d times" j c)
+      seen
+  in
   let sim = Fpb_simmem.Sim.create () in
-  let seen = Array.make 500 0 in
+  let seen = Array.make n_ops 0 and last = Array.make 3 (-1) in
   let stats =
-    Arrival.run ~sim ~n_clients:3 ~n_ops:500 ~rate_ops_per_s:100_000. ~seed:11
+    Arrival.run ~sim ~n_clients:3 ~n_ops ~rate_ops_per_s:100_000. ~seed:11
       (fun ~client ~seq ->
-        Alcotest.(check int) "round-robin client" (seq mod 3) client;
+        check_fifo last ~client seq;
         seen.(seq) <- seen.(seq) + 1)
   in
-  Array.iteri
-    (fun j c -> if c <> 1 then Alcotest.failf "op %d dispatched %d times" j c)
-    seen;
-  Alcotest.(check int) "ops counted" 500 stats.Arrival.ops
+  check_once seen;
+  Alcotest.(check int) "ops counted" n_ops stats.Arrival.ops;
+  let sim = Fpb_simmem.Sim.create () in
+  let seen = Array.make n_ops 0 and last = Array.make 3 (-1) in
+  let stats =
+    Arrival.run_batched ~sim ~n_clients:3 ~n_ops ~rate_ops_per_s:100_000.
+      ~seed:11 ~batch:4 ~batch_wait_ns:50_000 (fun ~client seqs ->
+        if Array.length seqs < 1 || Array.length seqs > 4 then
+          Alcotest.failf "group of %d" (Array.length seqs);
+        Array.iter
+          (fun seq ->
+            check_fifo last ~client seq;
+            seen.(seq) <- seen.(seq) + 1)
+          seqs;
+        Fpb_simmem.Clock.advance sim.Fpb_simmem.Sim.clock 20_000)
+  in
+  check_once seen;
+  Alcotest.(check int) "batched ops completed" n_ops stats.Arrival.completed;
+  if stats.Arrival.batches >= n_ops then
+    Alcotest.failf "%d dispatches for %d ops: nothing batched"
+      stats.Arrival.batches n_ops
+
+(* Reference model of size-or-timeout dispatch: the single-server batch
+   loop as first written, kept as an oracle for [Arrival.run_batched].
+   It redraws the arrival schedule from [seed] as the driver does and
+   returns each dispatch as (start time, ops), with [service ops] the
+   dispatch's service time. *)
+let batch_model ~n_ops ~rate ~discipline ~seed ~batch ~batch_wait_ns ~service
+    =
+  let rng = Prng.create seed in
+  let arrivals = Array.make (max 1 n_ops) 0 in
+  let t = ref 0. in
+  let mean_gap_ns = 1e9 /. rate in
+  for j = 0 to n_ops - 1 do
+    let gap =
+      match discipline with
+      | Arrival.Poisson -> Prng.exponential rng ~mean:mean_gap_ns
+      | Arrival.Fixed -> mean_gap_ns
+    in
+    t := !t +. gap;
+    arrivals.(j) <- int_of_float !t
+  done;
+  let q = Queue.create () in
+  let next = ref 0 and s = ref 0 and out = ref [] in
+  let absorb_until time =
+    while !next < n_ops && arrivals.(!next) <= time do
+      Queue.add (!next, arrivals.(!next)) q;
+      incr next
+    done
+  in
+  let dispatch at =
+    let seqs = Array.init (min batch (Queue.length q)) (fun _ -> fst (Queue.pop q)) in
+    out := (at, seqs) :: !out;
+    s := at + service seqs;
+    absorb_until !s
+  in
+  let running = ref true in
+  while !running do
+    if Queue.is_empty q then
+      if !next >= n_ops then running := false
+      else begin
+        s := max !s arrivals.(!next);
+        absorb_until !s
+      end
+    else if Queue.length q >= batch then dispatch !s
+    else begin
+      let timeout = snd (Queue.peek q) + batch_wait_ns in
+      if timeout <= !s then dispatch !s
+      else
+        let na = if !next < n_ops then arrivals.(!next) else max_int in
+        if na <= timeout then begin
+          s := na;
+          absorb_until !s
+        end
+        else dispatch timeout
+    end
+  done;
+  List.rev !out
+
+(* One batch server ([n_clients = 1]) dispatches exactly as the model:
+   same start times, same groups, op for op.  Half the cases are
+   aligned: fixed arrivals at a round gap, a wait that is a multiple of
+   it and a fixed 50 us service, so arrivals tie with dispatches and the
+   tie rule (arrivals first) is exercised. *)
+let test_batched_matches_model =
+  Util.qtest ~count:100 "run_batched with one client matches the model"
+    QCheck2.Gen.(
+      tup7 bool (int_range 100 200_000) bool (int_range 1 64)
+        (int_range 0 10_000_000) bool (int_range 0 1000))
+    (fun (aligned, rate, fixed, batch, wait, varying, seed) ->
+      let rate, fixed, batch_wait_ns, varying =
+        if aligned then
+          let gap = [| 10_000; 25_000; 50_000; 100_000 |].(rate mod 4) in
+          (1_000_000_000 / gap, true, wait / gap * gap, false)
+        else (rate, fixed, wait, varying)
+      in
+      let discipline = if fixed then Arrival.Fixed else Arrival.Poisson in
+      let rate = float_of_int rate and n_ops = 300 in
+      (* Fixed 50 us per dispatch, or a per-group time that varies with
+         the group's size and first op. *)
+      let service seqs =
+        if varying then 10_000 + (7_000 * Array.length seqs) + (seqs.(0) mod 13 * 3_000)
+        else 50_000
+      in
+      let want =
+        batch_model ~n_ops ~rate ~discipline ~seed ~batch ~batch_wait_ns
+          ~service
+      in
+      let sim = Fpb_simmem.Sim.create () in
+      let clock = sim.Fpb_simmem.Sim.clock in
+      let got = ref [] in
+      let st =
+        Arrival.run_batched ~sim ~n_clients:1 ~n_ops ~rate_ops_per_s:rate
+          ~discipline ~seed ~batch ~batch_wait_ns (fun ~client:_ seqs ->
+            got := (Fpb_simmem.Clock.now clock, seqs) :: !got;
+            Fpb_simmem.Clock.advance clock (service seqs))
+      in
+      List.rev !got = want
+      && st.Arrival.batches = List.length want
+      && st.Arrival.completed = n_ops)
 
 (* Batch server against the same synthetic oracle: ONE server whose
    per-dispatch service time is a fixed 1 ms however many ops the batch
@@ -207,8 +338,9 @@ let test_open_loop_dispatches_all () =
 let batch_oracle ~rate ~batch ~batch_wait_ns ?(n_ops = 2_000) ?on_batch () =
   let service_ns = 1_000_000 in
   let sim = Fpb_simmem.Sim.create () in
-  Batch.run ~sim ~n_ops ~rate_ops_per_s:rate ~discipline:Arrival.Fixed ~seed:7
-    ~batch ~batch_wait_ns (fun seqs ->
+  Arrival.run_batched ~sim ~n_clients:1 ~n_ops ~rate_ops_per_s:rate
+    ~discipline:Arrival.Fixed ~seed:7 ~batch ~batch_wait_ns
+    (fun ~client:_ seqs ->
       (match on_batch with Some f -> f seqs | None -> ());
       Fpb_simmem.Clock.advance sim.Fpb_simmem.Sim.clock service_ns)
 
@@ -219,14 +351,14 @@ let test_batch_size_trigger () =
   let s =
     batch_oracle ~rate:500. ~batch:4 ~batch_wait_ns:10_000_000 ()
   in
-  Alcotest.(check int) "all ops served" 2_000 s.Batch.ops;
-  Alcotest.(check int) "full batches" 500 s.Batch.batches;
+  Alcotest.(check int) "all ops served" 2_000 s.Arrival.completed;
+  Alcotest.(check int) "full batches" 500 s.Arrival.batches;
   Alcotest.(check int)
     "head waits exactly 3 arrival gaps" 6_000_000
-    (Fpb_obs.Histogram.max_value s.Batch.wait_ns);
+    (Fpb_obs.Histogram.max_value s.Arrival.queue_ns);
   Alcotest.(check int)
     "freshest op never waits" 0
-    (Fpb_obs.Histogram.min_value s.Batch.wait_ns)
+    (Fpb_obs.Histogram.min_value s.Arrival.queue_ns)
 
 (* Below saturation, timeout-triggered: with the size trigger out of
    reach the oldest op waits exactly [batch_wait_ns], and the batch
@@ -235,11 +367,11 @@ let test_batch_timeout_trigger () =
   let s =
     batch_oracle ~rate:500. ~batch:64 ~batch_wait_ns:3_000_000 ()
   in
-  Alcotest.(check int) "all ops served" 2_000 s.Batch.ops;
-  Alcotest.(check int) "two ops arrive per 3 ms window" 1_000 s.Batch.batches;
+  Alcotest.(check int) "all ops served" 2_000 s.Arrival.completed;
+  Alcotest.(check int) "two ops arrive per 3 ms window" 1_000 s.Arrival.batches;
   Alcotest.(check int)
     "head waits exactly the timeout" 3_000_000
-    (Fpb_obs.Histogram.max_value s.Batch.wait_ns)
+    (Fpb_obs.Histogram.max_value s.Arrival.queue_ns)
 
 (* Around capacity: at 8000 ops/s a batch-8 server (capacity 8000)
    keeps the backlog bounded and finishes with the arrival schedule,
@@ -247,20 +379,20 @@ let test_batch_timeout_trigger () =
    makespan is set by service capacity, not the offered rate. *)
 let test_batch_capacity () =
   let keeps_up = batch_oracle ~rate:8_000. ~batch:8 ~batch_wait_ns:10_000_000 () in
-  if keeps_up.Batch.max_backlog > 32 then
+  if keeps_up.Arrival.max_backlog > 32 then
     Alcotest.failf "backlog %d at capacity, want bounded"
-      keeps_up.Batch.max_backlog;
+      keeps_up.Arrival.max_backlog;
   let hot = batch_oracle ~rate:8_000. ~batch:4 ~batch_wait_ns:10_000_000 () in
-  if hot.Batch.max_backlog < 100 then
-    Alcotest.failf "overloaded backlog %d, want growth" hot.Batch.max_backlog;
+  if hot.Arrival.max_backlog < 100 then
+    Alcotest.failf "overloaded backlog %d, want growth" hot.Arrival.max_backlog;
   let want = 2_000 / 4 * 1_000_000 in
-  if abs (hot.Batch.makespan_ns - want) > want / 10 then
+  if abs (hot.Arrival.makespan_ns - want) > want / 10 then
     Alcotest.failf "overloaded makespan %d ns, want ~%d ns"
-      hot.Batch.makespan_ns want;
-  if p hot.Batch.latency 99. < 50 * p hot.Batch.service_ns 99. then
+      hot.Arrival.makespan_ns want;
+  if p hot.Arrival.latency 99. < 50 * p hot.Arrival.service_ns 99. then
     Alcotest.failf "overloaded p99 %d ns not >> service p99 %d ns"
-      (p hot.Batch.latency 99.)
-      (p hot.Batch.service_ns 99.)
+      (p hot.Arrival.latency 99.)
+      (p hot.Arrival.service_ns 99.)
 
 (* Every op is dispatched exactly once, batches in arrival order. *)
 let test_batch_dispatches_all () =
@@ -281,7 +413,7 @@ let test_batch_dispatches_all () =
   Array.iteri
     (fun j c -> if c <> 1 then Alcotest.failf "op %d dispatched %d times" j c)
     seen;
-  Alcotest.(check int) "ops counted" 500 s.Batch.ops
+  Alcotest.(check int) "ops counted" 500 s.Arrival.completed
 
 let suite =
   [
@@ -308,4 +440,5 @@ let suite =
       test_batch_capacity;
     Alcotest.test_case "batch server dispatches every op once" `Quick
       test_batch_dispatches_all;
+    test_batched_matches_model;
   ]
