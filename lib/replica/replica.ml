@@ -16,8 +16,11 @@
    dropping them.
 
    Archive LSNs are consecutive (the WAL allocates LSNs in seal order
-   and the observer sees records in seal order), so seq = lsn - lo is
-   O(1).  Across a failover the promoted WAL continues the LSN space
+   and the observer sees records in seal order), so seq = lsn - lsn0 is
+   O(1).  Retention drops archive entries below a floor; sequence
+   numbers stay global, and every per-node vector is index-aligned with
+   the archive and drops the same prefix.  Across a failover the
+   promoted WAL continues the LSN space
    ([first_lsn = committed_lsn + 1]) and the old group stays reachable
    through [prev] with [valid_upto] marking where its history stops
    being authoritative — the chain is what [rejoin]'s (LSN, CRC)
@@ -34,6 +37,55 @@ module Vec = Fpb_storage.Vec
 module Prng = Fpb_workload.Prng
 module Shadow = Fpb_snapshot.Shadow
 module Wal = Fpb_wal.Wal
+
+(* A growable vector whose prefix can be released.  Indices are global:
+   the elements [lo, length) sit in [buf] from [start] on, and reading
+   below [lo] raises. *)
+module Window = struct
+  type 'a t = {
+    mutable buf : 'a array;
+    mutable start : int;
+    mutable lo : int;
+    mutable hi : int;
+    dummy : 'a;
+  }
+
+  let create ?(lo = 0) dummy = { buf = [||]; start = 0; lo; hi = lo; dummy }
+  let length w = w.hi
+  let lo w = w.lo
+
+  let get w i =
+    if i < w.lo || i >= w.hi then invalid_arg "Replica.Window.get";
+    w.buf.(w.start + i - w.lo)
+
+  (* A full buffer is compacted in place when at most half of it is
+     live, else regrown to twice the live size. *)
+  let push w x =
+    let live = w.hi - w.lo in
+    if w.start + live = Array.length w.buf then
+      if 2 * live <= Array.length w.buf && live > 0 then begin
+        Array.blit w.buf w.start w.buf 0 live;
+        Array.fill w.buf live w.start w.dummy;
+        w.start <- 0
+      end
+      else begin
+        let nb = Array.make (max 16 (2 * live)) w.dummy in
+        Array.blit w.buf w.start nb 0 live;
+        w.buf <- nb;
+        w.start <- 0
+      end;
+    w.buf.(w.start + live) <- x;
+    w.hi <- w.hi + 1
+
+  (* Release every element below [f] (clamped to the length). *)
+  let drop_below w f =
+    let f = min f w.hi in
+    if f > w.lo then begin
+      Array.fill w.buf w.start (f - w.lo) w.dummy;
+      w.start <- w.start + f - w.lo;
+      w.lo <- f
+    end
+end
 
 type mode = Async | Semi_sync of int
 
@@ -64,10 +116,12 @@ let default_config =
 
 (* One shipped record.  [shipped_ns] is the primary flush completion
    (local durability — the Async ack point); per-node delivery times
-   live in the node's own vectors, index-aligned with the archive. *)
+   live in the node's own vectors, index-aligned with the archive.  The
+   frame itself is not kept: re-shipping needs only its [size], and
+   rejoin compares its [crc]. *)
 type entry = {
   lsn : int;
-  framed : string;
+  size : int;
   record : Wal.record;
   crc : int;  (* the frame's own CRC-32 trailer; rejoin compares it *)
   shipped_ns : int;
@@ -76,7 +130,7 @@ type entry = {
 let dummy_entry =
   {
     lsn = 0;
-    framed = "";
+    size = 0;
     record = Wal.Commit { lsn = 0; op = 0; meta = [] };
     crc = 0;
     shipped_ns = 0;
@@ -97,9 +151,13 @@ type node = {
   mutable meta : int list;
   mutable alive : bool;
   (* index-aligned with the archive; for a live node both always have
-     length = archive length (padded at join/revival) *)
-  mutable durable_ns : int Vec.t;
-  mutable ack_ns : int Vec.t;
+     length = archive length (padded at join/revival).  Both release
+     the archive's trimmed prefix (all of it if shorter). *)
+  mutable durable_ns : int Window.t;
+  mutable ack_ns : int Window.t;
+  mutable floor_op : int;
+      (* op of the node's last commit below its vectors' [lo] (the
+         group's starting op if none) *)
 }
 
 type stats = {
@@ -142,8 +200,12 @@ type t = {
   pool : Buffer_pool.t;
   page_size : int;
   cfg : config;
-  archive : entry Vec.t;
+  archive : entry Window.t;
+  mutable lsn0 : int;  (* LSN of archive entry 0 *)
   mutable base_seq : int;  (* entries below it released by [trim_archive] *)
+  mutable last_commit : int;  (* seq of the newest commit entry, -1 if none *)
+  trimmed_pages : (int, unit) Hashtbl.t;
+      (* pages touched by the entries dropped below the archive's [lo] *)
   mutable nodes : node array;
   mutable next_id : int;
   mutable killed : bool;
@@ -151,11 +213,12 @@ type t = {
   first_lsn : int;  (* this group's history covers LSNs >= first_lsn *)
   mutable valid_upto : int option;  (* ... and <= this, once superseded *)
   mutable prev : t option;  (* pre-failover group, for the rejoin scan *)
-  (* committed cursor the group started from (commits before any record
-     shipped) *)
-  init_op : int;
-  init_lsn : int;
-  init_meta : int list;
+  (* committed cursor as of the archive's [lo]: the last commit entry
+     dropped by retention, or the cursor the group started from (commits
+     before any record shipped) *)
+  mutable floor_op : int;
+  mutable floor_lsn : int;
+  mutable floor_meta : int list;
   stats : stats;
 }
 
@@ -170,10 +233,9 @@ let node_committed_lsn n = n.committed_lsn
 let ack_wait t = t.stats.ack_wait
 
 let seq_of_lsn t lsn =
-  if Vec.length t.archive = 0 then None
-  else
-    let s = lsn - (Vec.get t.archive 0).lsn in
-    if s < 0 || s >= Vec.length t.archive then None else Some s
+  let s = lsn - t.lsn0 in
+  if s < Window.lo t.archive || s >= Window.length t.archive then None
+  else Some s
 
 let is_commit_entry e =
   match e.record with Wal.Commit _ | Wal.Checkpoint _ -> true | _ -> false
@@ -197,10 +259,13 @@ let get_page n id = if id < Vec.length n.pages then Vec.get n.pages id else None
    when they overlap records the node already held. *)
 let apply_record t n e =
   match e.record with
-  | Wal.Image { page; img; _ } ->
+  | Wal.Image { page; img; _ } -> (
       n.total_pages <- max n.total_pages page;
       Hashtbl.remove n.free page;
-      set_page n page (Some (Bytes.copy img))
+      (* node pages are private buffers: refresh in place *)
+      match get_page n page with
+      | Some b -> Bytes.blit img 0 b 0 t.page_size
+      | None -> set_page n page (Some (Bytes.copy img)))
   | Wal.Delta { page; off; bytes; _ } ->
       n.total_pages <- max n.total_pages page;
       let b =
@@ -225,23 +290,25 @@ let apply_record t n e =
       set_page n page None
 
 (* Apply every whole committed batch durable on the node by [horizon];
-   returns how many records beyond the last commit are durable but
-   staged (the node's unacked suffix as of [horizon]).  Durable times
-   are monotone (serial log device fed by an in-order link), so the
-   scan can stop at the first record past the horizon. *)
+   returns the node's durable extent by then (records [applied_seq, it)
+   are durable but staged — the node's unacked suffix as of [horizon]).
+   Durable times are monotone (serial log device fed by an in-order
+   link), so the scan can stop at the first record past the horizon.
+   It starts no lower than the node's released prefix: staged records
+   released there hold no commit (see [trim_archive]). *)
 let sync t n ~horizon =
-  let len = Vec.length n.durable_ns in
-  let i = ref n.applied_seq in
+  let len = Window.length n.durable_ns in
+  let i = ref (max n.applied_seq (Window.lo n.durable_ns)) in
   let last_commit = ref (n.applied_seq - 1) in
-  while !i < len && Vec.get n.durable_ns !i <= horizon do
-    if is_commit_entry (Vec.get t.archive !i) then last_commit := !i;
+  while !i < len && Window.get n.durable_ns !i <= horizon do
+    if is_commit_entry (Window.get t.archive !i) then last_commit := !i;
     incr i
   done;
   for j = n.applied_seq to !last_commit do
-    apply_record t n (Vec.get t.archive j)
+    apply_record t n (Window.get t.archive j)
   done;
   if !last_commit >= n.applied_seq then n.applied_seq <- !last_commit + 1;
-  !i - n.applied_seq
+  !i
 
 let sync_node t ?horizon n =
   let horizon =
@@ -258,33 +325,40 @@ let sync_node t ?horizon n =
 let ship t lsn framed =
   if not t.killed then begin
     let now = Clock.now t.clock in
-    let seq = Vec.length t.archive in
+    let seq = Window.length t.archive in
+    let size = String.length framed in
     let record =
       match Wal.Codec.decode (Bytes.unsafe_of_string framed) 0 with
       | Some (r, _) -> r
       | None -> invalid_arg "Fpb_replica: undecodable shipped record"
     in
-    Vec.push t.archive
-      { lsn; framed; record; crc = Wal.Codec.trailer framed; shipped_ns = now };
+    let e =
+      { lsn; size; record; crc = Wal.Codec.trailer framed; shipped_ns = now }
+    in
+    if seq = 0 then t.lsn0 <- lsn;
+    if is_commit_entry e then t.last_commit <- seq;
+    Window.push t.archive e;
     Counter.incr t.stats.c_shipped;
-    Counter.add t.stats.c_shipped_bytes (String.length framed);
+    Counter.add t.stats.c_shipped_bytes size;
     Array.iter
       (fun n ->
         if n.alive then begin
+          (* [trim_archive] keeps the last [window] entries, so the
+             gate never reaches below the released prefix *)
           let gate =
             if seq >= t.cfg.window then
-              max now (Vec.get n.ack_ns (seq - t.cfg.window))
+              max now (Window.get n.ack_ns (seq - t.cfg.window))
             else now
           in
-          let dlv = Net.deliver n.link ~send:gate ~bytes:(String.length framed) in
+          let dlv = Net.deliver n.link ~send:gate ~bytes:size in
           let phys = n.log_bytes / t.page_size in
           let durable =
             Disk_model.write_sync n.log_disk ~earliest:dlv ~append:true
               ~disk:0 ~phys ()
           in
-          n.log_bytes <- n.log_bytes + String.length framed;
-          Vec.push n.durable_ns durable;
-          Vec.push n.ack_ns
+          n.log_bytes <- n.log_bytes + size;
+          Window.push n.durable_ns durable;
+          Window.push n.ack_ns
             (Net.deliver n.ack_link ~send:durable ~bytes:t.cfg.ack_bytes)
         end)
       t.nodes
@@ -306,8 +380,8 @@ let barrier t ~op:_ ~lsn =
             let acks = ref [] in
             Array.iter
               (fun n ->
-                if seq < Vec.length n.ack_ns then
-                  acks := Vec.get n.ack_ns seq :: !acks)
+                if seq < Window.length n.ack_ns then
+                  acks := Window.get n.ack_ns seq :: !acks)
               t.nodes;
             let k' = min k (List.length !acks) in
             if k' > 0 then begin
@@ -355,12 +429,13 @@ let fresh_node t ~prng ~profile =
     total_pages = total;
     free;
     applied_seq = 0;
-    committed_op = t.init_op;
-    committed_lsn = t.init_lsn;
-    meta = t.init_meta;
+    committed_op = t.floor_op;
+    committed_lsn = t.floor_lsn;
+    meta = t.floor_meta;
     alive = true;
-    durable_ns = Vec.create ~dummy:0;
-    ack_ns = Vec.create ~dummy:0;
+    durable_ns = Window.create 0;
+    ack_ns = Window.create 0;
+    floor_op = t.floor_op;
   }
 
 let create ~config:cfg ~prng ~profiles (wal, pool) =
@@ -388,8 +463,11 @@ let create ~config:cfg ~prng ~profiles (wal, pool) =
       pool;
       page_size = Page_store.page_size store;
       cfg;
-      archive = Vec.create ~dummy:dummy_entry;
+      archive = Window.create dummy_entry;
+      lsn0 = 0;
       base_seq = 0;
+      last_commit = -1;
+      trimmed_pages = Hashtbl.create 16;
       nodes = [||];
       next_id = 0;
       killed = false;
@@ -397,9 +475,9 @@ let create ~config:cfg ~prng ~profiles (wal, pool) =
       first_lsn = Wal.last_lsn wal + 1;
       valid_upto = None;
       prev = None;
-      init_op = Wal.last_committed_op wal;
-      init_lsn = Wal.last_lsn wal;
-      init_meta;
+      floor_op = Wal.last_committed_op wal;
+      floor_lsn = Wal.last_lsn wal;
+      floor_meta = init_meta;
       stats = make_stats ();
     }
   in
@@ -410,13 +488,13 @@ let create ~config:cfg ~prng ~profiles (wal, pool) =
 
 (* ---------------------------- oracles ------------------------------- *)
 
-let node_durable_op t n ~horizon =
-  let best = ref t.init_op in
+let node_durable_op t (n : node) ~horizon =
+  let best = ref n.floor_op in
   (try
-     for i = 0 to Vec.length n.durable_ns - 1 do
-       if Vec.get n.durable_ns i > horizon then raise Exit
+     for i = Window.lo n.durable_ns to Window.length n.durable_ns - 1 do
+       if Window.get n.durable_ns i > horizon then raise Exit
        else
-         match (Vec.get t.archive i).record with
+         match (Window.get t.archive i).record with
          | Wal.Commit { op; _ } | Wal.Checkpoint { op; _ } -> best := op
          | _ -> ()
      done
@@ -425,9 +503,9 @@ let node_durable_op t n ~horizon =
 
 let acked_op t ~horizon =
   let rec scan i =
-    if i < 0 then t.init_op
+    if i < Window.lo t.archive then t.floor_op
     else
-      let e = Vec.get t.archive i in
+      let e = Window.get t.archive i in
       match e.record with
       | Wal.Commit { op; _ } | Wal.Checkpoint { op; _ } ->
           let ok =
@@ -439,9 +517,9 @@ let acked_op t ~horizon =
                 let avail = ref 0 and got = ref 0 in
                 Array.iter
                   (fun n ->
-                    if i < Vec.length n.ack_ns then begin
+                    if i < Window.length n.ack_ns then begin
                       incr avail;
-                      if Vec.get n.ack_ns i <= horizon then incr got
+                      if Window.get n.ack_ns i <= horizon then incr got
                     end)
                   t.nodes;
                 !got >= min k !avail
@@ -449,7 +527,7 @@ let acked_op t ~horizon =
           if ok then op else scan (i - 1)
       | _ -> scan (i - 1)
   in
-  scan (Vec.length t.archive - 1)
+  scan (Window.length t.archive - 1)
 
 (* --------------------------- failover ------------------------------- *)
 
@@ -495,7 +573,8 @@ let promote ?node t =
   let staged = ref 0 in
   let i = ref best.applied_seq in
   while
-    !i < Vec.length best.durable_ns && Vec.get best.durable_ns !i <= horizon
+    !i < Window.length best.durable_ns
+    && Window.get best.durable_ns !i <= horizon
   do
     incr staged;
     incr i
@@ -568,15 +647,16 @@ let resume (t : t) p =
       else begin
         Counter.add t.stats.c_rebaselined (cut - n.applied_seq);
         for j = n.applied_seq to cut - 1 do
-          apply_record t n (Vec.get t.archive j)
+          apply_record t n (Window.get t.archive j)
         done
       end;
       n.applied_seq <- 0;
       n.committed_op <- p.committed_op;
       n.committed_lsn <- p.committed_lsn;
       n.meta <- p.meta;
-      n.durable_ns <- Vec.create ~dummy:0;
-      n.ack_ns <- Vec.create ~dummy:0)
+      n.durable_ns <- Window.create 0;
+      n.ack_ns <- Window.create 0;
+      n.floor_op <- p.committed_op)
     survivors;
   t.valid_upto <- Some p.committed_lsn;
   let nt =
@@ -584,17 +664,20 @@ let resume (t : t) p =
       t with
       wal = p.wal;
       pool = p.pool;
-      archive = Vec.create ~dummy:dummy_entry;
+      archive = Window.create dummy_entry;
+      lsn0 = 0;
       base_seq = 0;
+      last_commit = -1;
+      trimmed_pages = Hashtbl.create 16;
       nodes = Array.of_list survivors;
       killed = false;
       killed_at = 0;
       first_lsn = p.committed_lsn + 1;
       valid_upto = None;
       prev = Some t;
-      init_op = p.committed_op;
-      init_lsn = p.committed_lsn;
-      init_meta = p.meta;
+      floor_op = p.committed_op;
+      floor_lsn = p.committed_lsn;
+      floor_meta = p.meta;
     }
   in
   install nt;
@@ -613,16 +696,14 @@ let rec classify g lsn =
     lsn >= g.first_lsn
     && match g.valid_upto with None -> true | Some v -> lsn <= v
   then
-    if Vec.length g.archive = 0 then `Divergent
-    else
-      let s = lsn - (Vec.get g.archive 0).lsn in
-      if s < 0 || s >= Vec.length g.archive then
-        (* LSNs this group's WAL owns but never shipped (e.g. its
-           attach-time checkpoint) or hasn't reached: either way the old
-           primary's record there is not shared history *)
-        `Divergent
-      else if s < g.base_seq then `Trimmed
-      else `Hit (Vec.get g.archive s)
+    let s = lsn - g.lsn0 in
+    if s < 0 || s >= Window.length g.archive then
+      (* LSNs this group's WAL owns but never shipped (e.g. its
+         attach-time checkpoint) or hasn't reached: either way the old
+         primary's record there is not shared history *)
+      `Divergent
+    else if s < g.base_seq then `Trimmed
+    else `Hit (Window.get g.archive s)
   else
     match g.prev with Some p -> classify p lsn | None -> `Base
 
@@ -634,14 +715,21 @@ let pages_of_record acc = function
       Hashtbl.replace acc page ()
   | Wal.Commit _ | Wal.Checkpoint _ -> ()
 
+(* Entries dropped by retention count through [trimmed_pages]: a fork
+   never lies strictly inside the dropped range (a record there
+   classifies [`Trimmed] first), and every dropped entry precedes
+   [valid_upto] (the promoted node had applied it). *)
 let rec collect_history_pages g ~fork acc =
-  Vec.iteri
-    (fun _ e ->
-      if
-        e.lsn >= fork
-        && match g.valid_upto with None -> true | Some v -> e.lsn <= v
-      then pages_of_record acc e.record)
-    g.archive;
+  let lo = Window.lo g.archive in
+  if lo > 0 && fork < g.lsn0 + lo then
+    Hashtbl.iter (fun page () -> Hashtbl.replace acc page ()) g.trimmed_pages;
+  for i = lo to Window.length g.archive - 1 do
+    let e = Window.get g.archive i in
+    if
+      e.lsn >= fork
+      && match g.valid_upto with None -> true | Some v -> e.lsn <= v
+    then pages_of_record acc e.record
+  done;
   match g.prev with
   | Some p -> collect_history_pages p ~fork acc
   | None -> ()
@@ -652,17 +740,18 @@ let rec collect_history_pages g ~fork acc =
 let ship_tail t n ~from ~start_cursor =
   let cursor = ref start_cursor in
   let shipped = ref 0 in
-  for i = from to Vec.length t.archive - 1 do
-    let e = Vec.get t.archive i in
-    let dlv = Net.deliver n.link ~send:!cursor ~bytes:(String.length e.framed) in
+  for i = from to Window.length t.archive - 1 do
+    let e = Window.get t.archive i in
+    let dlv = Net.deliver n.link ~send:!cursor ~bytes:e.size in
     let phys = n.log_bytes / t.page_size in
     let durable =
       Disk_model.write_sync n.log_disk ~earliest:dlv ~append:true ~disk:0
         ~phys ()
     in
-    n.log_bytes <- n.log_bytes + String.length e.framed;
-    Vec.push n.durable_ns durable;
-    Vec.push n.ack_ns (Net.deliver n.ack_link ~send:durable ~bytes:t.cfg.ack_bytes);
+    n.log_bytes <- n.log_bytes + e.size;
+    Window.push n.durable_ns durable;
+    Window.push n.ack_ns
+      (Net.deliver n.ack_link ~send:durable ~bytes:t.cfg.ack_bytes);
     cursor := durable;
     incr shipped
   done;
@@ -731,20 +820,18 @@ let rejoin (t : t) ~old_pool ~old_wal ~prng ?(profile = Net.default_profile)
         then Vec.push pages (Some (Bytes.copy (Page_store.bytes ostore id)))
         else Vec.push pages (Some (Bytes.copy (Page_store.bytes nstore id)))
       done;
-      (* committed cursor + replay point from the current archive *)
-      let last_commit = ref (-1) in
-      for i = 0 to Vec.length t.archive - 1 do
-        if is_commit_entry (Vec.get t.archive i) then last_commit := i
-      done;
-      let applied_seq = !last_commit + 1 in
+      (* committed cursor + replay point from the current archive
+         (retention never drops past the newest commit entry) *)
+      let lo = Window.lo t.archive in
+      let applied_seq = t.last_commit + 1 in
       let committed_op, committed_lsn, meta =
-        if !last_commit >= 0 then
-          let e = Vec.get t.archive !last_commit in
+        if t.last_commit >= lo then
+          let e = Window.get t.archive t.last_commit in
           match e.record with
           | Wal.Commit { op; meta; _ } | Wal.Checkpoint { op; meta; _ } ->
               (op, e.lsn, meta)
           | _ -> assert false
-        else (t.init_op, t.init_lsn, t.init_meta)
+        else (t.floor_op, t.floor_lsn, t.floor_meta)
       in
       let now = Clock.now t.clock in
       let id = t.next_id in
@@ -768,13 +855,14 @@ let rejoin (t : t) ~old_pool ~old_wal ~prng ?(profile = Net.default_profile)
           committed_lsn;
           meta;
           alive = true;
-          durable_ns = Vec.create ~dummy:0;
-          ack_ns = Vec.create ~dummy:0;
+          durable_ns = Window.create ~lo 0;
+          ack_ns = Window.create ~lo 0;
+          floor_op = t.floor_op;
         }
       in
-      for _ = 1 to applied_seq do
-        Vec.push n.durable_ns now;
-        Vec.push n.ack_ns now
+      for _ = lo + 1 to applied_seq do
+        Window.push n.durable_ns now;
+        Window.push n.ack_ns now
       done;
       ignore (ship_tail t n ~from:applied_seq ~start_cursor:now : int * int);
       t.nodes <- Array.append t.nodes [| n |];
@@ -785,16 +873,68 @@ let rejoin (t : t) ~old_pool ~old_wal ~prng ?(profile = Net.default_profile)
 
 (* ---------------------- retention & catch-up ------------------------ *)
 
+(* Free the archive prefix nobody can read again.  Every node is first
+   synced to now — charge-free, and invisible to callers: a sync only
+   moves forward, and every later horizon (a kill, a catch-up) is at or
+   after now.  The floor is then the lowest of
+   - [base_seq]: rejoin and log catch-up refuse anything below it;
+   - the applied point of every node that may still read below it: one
+     whose log reaches [base_seq] (it may catch up by log) or that still
+     has records in flight (a later sync may apply them).  Any other
+     node's records below the floor are durable and hold no unapplied
+     commit;
+   - just past the newest commit entry, where a rejoining node starts;
+   - the last [window] entries, whose acks gate the next sends.
+   Dropped entries fold into the floor cursor and [trimmed_pages]. *)
+let release t =
+  let now = Clock.now t.clock in
+  let len = Window.length t.archive in
+  let floor =
+    ref (min t.base_seq (min (t.last_commit + 1) (max 0 (len - t.cfg.window))))
+  in
+  Array.iter
+    (fun n ->
+      let vlen = Window.length n.durable_ns in
+      if sync t n ~horizon:now < vlen || vlen >= t.base_seq then
+        floor := min !floor n.applied_seq)
+    t.nodes;
+  let lo = Window.lo t.archive in
+  let f = !floor in
+  if f > lo then begin
+    (* a node shorter than [f] keeps the op of its own last commit *)
+    Array.iter
+      (fun n ->
+        let vlen = Window.length n.durable_ns in
+        for i = Window.lo n.durable_ns to min f vlen - 1 do
+          match (Window.get t.archive i).record with
+          | Wal.Commit { op; _ } | Wal.Checkpoint { op; _ } -> n.floor_op <- op
+          | _ -> ()
+        done;
+        Window.drop_below n.durable_ns f;
+        Window.drop_below n.ack_ns f)
+      t.nodes;
+    for i = lo to f - 1 do
+      let e = Window.get t.archive i in
+      match e.record with
+      | Wal.Commit { op; meta; _ } | Wal.Checkpoint { op; meta; _ } ->
+          t.floor_op <- op;
+          t.floor_lsn <- e.lsn;
+          t.floor_meta <- meta
+      | r -> pages_of_record t.trimmed_pages r
+    done;
+    Window.drop_below t.archive f
+  end
+
 let trim_archive t ~below_lsn =
-  if Vec.length t.archive = 0 then 0
+  let len = Window.length t.archive in
+  if len = 0 then 0
   else begin
-    let lo = (Vec.get t.archive 0).lsn in
-    let nb =
-      min (Vec.length t.archive) (max t.base_seq (below_lsn - lo + 1))
-    in
+    let nb = min len (max t.base_seq (below_lsn - t.lsn0 + 1)) in
     let trimmed = nb - t.base_seq in
     t.base_seq <- nb;
     Counter.add t.stats.c_trimmed trimmed;
+    (* a killed group's nodes wait for [promote]'s sync at the kill *)
+    if not t.killed then release t;
     trimmed
   end
 
@@ -802,7 +942,7 @@ let detach_replica _t n = n.alive <- false
 
 let catch_up_via_log (t : t) n =
   Wal.flush t.wal;
-  let vlen = Vec.length n.durable_ns in
+  let vlen = Window.length n.durable_ns in
   if vlen < t.base_seq then `Retention_exceeded
   else begin
     let t0 = Clock.now t.clock in
@@ -837,21 +977,21 @@ let catch_up_via_snapshot (t : t) n ~snapshot =
   n.committed_op <- Shadow.snapshot_op snapshot;
   n.committed_lsn <- Shadow.snapshot_lsn snapshot;
   n.meta <- Shadow.snapshot_meta snapshot;
+  let len = Window.length t.archive in
   let cut_seq =
-    if Vec.length t.archive = 0 then 0
-    else
-      let lo = (Vec.get t.archive 0).lsn in
-      min (Vec.length t.archive)
-        (max 0 (Shadow.snapshot_lsn snapshot - lo + 1))
+    if len = 0 then 0
+    else min len (max 0 (Shadow.snapshot_lsn snapshot - t.lsn0 + 1))
   in
   if cut_seq < t.base_seq then
     invalid_arg "Replica.catch_up_via_snapshot: snapshot below archive retention";
+  let lo = Window.lo t.archive in
   n.applied_seq <- cut_seq;
-  n.durable_ns <- Vec.create ~dummy:0;
-  n.ack_ns <- Vec.create ~dummy:0;
-  for _ = 1 to cut_seq do
-    Vec.push n.durable_ns !cursor;
-    Vec.push n.ack_ns !cursor
+  n.durable_ns <- Window.create ~lo 0;
+  n.ack_ns <- Window.create ~lo 0;
+  n.floor_op <- t.floor_op;
+  for _ = lo + 1 to cut_seq do
+    Window.push n.durable_ns !cursor;
+    Window.push n.ack_ns !cursor
   done;
   let tail, cursor' = ship_tail t n ~from:cut_seq ~start_cursor:!cursor in
   ignore (sync t n ~horizon:max_int : int);
@@ -861,6 +1001,8 @@ let catch_up_via_snapshot (t : t) n ~snapshot =
   (!pages_shipped, tail, (if tail = 0 then !cursor else cursor') - t0)
 
 (* ------------------------- observability ---------------------------- *)
+
+let retained_entries t = Window.length t.archive - Window.lo t.archive
 
 let kv t =
   let s = t.stats in

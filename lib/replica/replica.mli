@@ -203,7 +203,16 @@ val rejoin :
     {!Fpb_snapshot.Shadow.retention_lsn} after a flip): the shipping
     archive releases what the WAL's own retention released.  A replica
     whose replay point falls below the floor can no longer catch up by
-    log re-shipping. *)
+    log re-shipping.  Returns the entries newly trimmed
+    ([replica.archive.trimmed_records]).
+
+    The host memory follows: every node is first brought up to the
+    committed batches durable on it now (as {!sync_node} at the current
+    time — charge-free), and the entries no node can read again are
+    freed.  Callers see no difference as long as every later horizon
+    they pass ({!sync_node}, {!node_durable_op}, {!acked_op}) is at or
+    after the last trim, which a kill horizon always is.  A no-op on
+    memory once the group is killed. *)
 val trim_archive : t -> below_lsn:int -> int
 
 (** Mark a replica dead (stop shipping to it) without failover — models
@@ -236,3 +245,7 @@ val ack_wait : t -> Fpb_obs.Histogram.t
 (** [replica.*] counters plus the [net.*] counters summed over every
     link of the group. *)
 val kv : t -> (string * int) list
+
+(** Archive entries held in host memory (shipped and not yet freed by
+    {!trim_archive}).  A gauge, not a [replica.*] counter. *)
+val retained_entries : t -> int

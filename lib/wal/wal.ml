@@ -262,22 +262,31 @@ let stats_counters s =
     s.repair_sectors; s.repair_full; s.c_truncated;
   ]
 
-(* One mirror of one stripe of the durable log: a growable byte array.
-   All mirrors of a stripe hold position-identical streams of the same
-   length; faults make their *contents* diverge, never their length (a
-   crash cuts all of them at the same byte). *)
-type mirror = { mutable data : Bytes.t; mutable len : int }
+(* One mirror of one stripe of the durable log: a sliding byte buffer.
+   [data.(0)] holds stripe offset [base]; the mirror's stream is
+   [base, len) — [len] is the stripe's logical durable extent, and bytes
+   below [base] have been released by [truncate_to].  All mirrors of a
+   stripe hold position-identical streams of the same length; faults
+   make their *contents* diverge, never their length (a crash cuts all
+   of them at the same byte). *)
+type mirror = { mutable data : Bytes.t; mutable base : int; mutable len : int }
+
+let min_capacity = 65536
+
+(* Move the live bytes [from, len) into a fresh buffer with room for
+   [extra] more, of at least twice the live size. *)
+let m_resize m ~from ~extra =
+  let live = m.len - from in
+  let nd = Bytes.create (max min_capacity (2 * (live + extra))) in
+  Bytes.blit m.data (from - m.base) nd 0 live;
+  m.data <- nd;
+  m.base <- from
 
 let m_append m s off len =
-  let need = m.len + len in
-  if Bytes.length m.data < need then begin
-    let cap = max need (max 65536 (2 * Bytes.length m.data)) in
-    let nd = Bytes.create cap in
-    Bytes.blit m.data 0 nd 0 m.len;
-    m.data <- nd
-  end;
-  Bytes.blit_string s off m.data m.len len;
-  m.len <- need
+  if Bytes.length m.data < m.len + len - m.base then
+    m_resize m ~from:m.base ~extra:len;
+  Bytes.blit_string s off m.data (m.len - m.base) len;
+  m.len <- m.len + len
 
 type t = {
   pool : Buffer_pool.t;
@@ -290,7 +299,7 @@ type t = {
   page_size : int;
   group_commit_bytes : int;
   (* log stream.  [sealed_bytes]/[durable_len] and every offset in
-     [boundaries] are *logical*: positions in the single stream of
+     [bounds] are *logical*: positions in the single stream of
      sealed records, independent of which stripe each record landed on.
      Physical placement is round-robin by seal order ([seal_seq]);
      [stripe_sealed] tracks each stripe's sealed (including pending)
@@ -309,9 +318,11 @@ type t = {
          point: recovery scans each stripe from here *)
   mutable trunc_marks : int array;
       (* per-stripe retention floor: bytes below it have been released
-         by [truncate_to] (zeroed on every mirror) and may no longer be
-         read; always <= ckpt_marks *)
-  mutable boundaries : boundary list;  (* newest first *)
+         by [truncate_to] and may no longer be read (every mirror
+         access checks it); always <= ckpt_marks *)
+  bounds : int Vec.t;
+      (* every sealed record, oldest first, as two ints: its end offset,
+         then [size lsl 3 lor kind code]; [layout] unpacks it *)
   mutable batched_redo : bool;  (* sort redo write-backs by (disk, phys) *)
   mutable coalesce_redo : bool;  (* merge adjacent write-backs into runs *)
   (* per-page durability state; index = page id *)
@@ -383,6 +394,14 @@ let n_stripes t = Array.length t.streams
 (* Durable extent of one stripe (all its mirrors share it). *)
 let stripe_dlen t s = t.streams.(s).(0).len
 
+(* Index in [m.data] of offset [pos] of stripe [s].  Every mirror byte
+   access goes through here: bytes below the retention floor were
+   released, so reading them is a caller bug, not a read of zeros. *)
+let at t ~s m pos =
+  if pos < t.trunc_marks.(s) then
+    invalid_arg "Wal: log read below the retention floor";
+  pos - m.base
+
 (* Refresh the durable image of [page] from [src] without allocating:
    durable images are page-sized private buffers, so once one exists the
    new contents blit in place. *)
@@ -396,13 +415,22 @@ let fresh_lsn t =
   t.next_lsn <- l + 1;
   l
 
-let kind_of = function
-  | Image _ -> `Image
-  | Delta _ -> `Delta
-  | Commit _ -> `Commit
-  | Checkpoint _ -> `Checkpoint
-  | Alloc _ -> `Alloc
-  | Free _ -> `Free
+let kind_code = function
+  | Image _ -> Codec.kind_image
+  | Delta _ -> Codec.kind_delta
+  | Commit _ -> Codec.kind_commit
+  | Checkpoint _ -> Codec.kind_checkpoint
+  | Alloc _ -> Codec.kind_alloc
+  | Free _ -> Codec.kind_free
+
+(* inverse of [kind_code] *)
+let kind_of_code = function
+  | 1 -> `Image
+  | 2 -> `Delta
+  | 3 -> `Commit
+  | 4 -> `Checkpoint
+  | 5 -> `Alloc
+  | _ -> `Free
 
 let lsn_of = function
   | Image { lsn; _ }
@@ -424,8 +452,8 @@ let append t r =
   t.pending_bytes <- t.pending_bytes + size;
   t.stripe_sealed.(stripe) <- t.stripe_sealed.(stripe) + size;
   t.sealed_bytes <- t.sealed_bytes + size;
-  t.boundaries <-
-    { end_off = t.sealed_bytes; size; kind = kind_of r } :: t.boundaries;
+  Vec.push t.bounds t.sealed_bytes;
+  Vec.push t.bounds ((size lsl 3) lor kind_code r);
   Counter.incr t.stats.records;
   Counter.add t.stats.c_log_bytes size;
   match r with
@@ -786,11 +814,14 @@ let checkpoint_stall t = t.checkpoint_stall
 
 (* --------------------------- log retention --------------------------- *)
 
-(* Release log space below a durable checkpoint's cut: zero every
-   mirror's bytes in [floor, marks) per stripe and advance the retention
-   floor.  Clamped to the recovery start point ([ckpt_marks]) — recovery
-   and repair scans never start below it, so nothing readable is ever
-   released.  Returns the bytes released this call. *)
+(* Release log space below a durable checkpoint's cut: advance each
+   stripe's retention floor to [marks].  Clamped to the recovery start
+   point ([ckpt_marks]) — recovery and repair scans never start below
+   it, so nothing readable is ever released.  A mirror's buffer gives the
+   host memory back once its released prefix is half the buffer: the
+   live bytes move to a buffer sized for them, so the copying is
+   amortised O(1) per logged byte.  Returns the bytes released this
+   call. *)
 let truncate_to t ~marks =
   if Array.length marks <> n_stripes t then
     invalid_arg "Wal.truncate_to: stripe count mismatch";
@@ -799,9 +830,13 @@ let truncate_to t ~marks =
     let a = t.trunc_marks.(s) in
     let b = min marks.(s) (min t.ckpt_marks.(s) (stripe_dlen t s)) in
     if b > a then begin
-      Array.iter (fun m -> Bytes.fill m.data a (b - a) '\000') t.streams.(s);
       t.trunc_marks.(s) <- b;
-      released := !released + ((b - a) * Array.length t.streams.(s))
+      released := !released + ((b - a) * Array.length t.streams.(s));
+      Array.iter
+        (fun m ->
+          if 2 * (b - m.base) >= Bytes.length m.data then
+            m_resize m ~from:b ~extra:0)
+        t.streams.(s)
     end
   done;
   Counter.add t.stats.c_truncated !released;
@@ -809,6 +844,11 @@ let truncate_to t ~marks =
 
 (* Per-stripe retention floor: offsets below it have been released. *)
 let retention_floor t = Array.copy t.trunc_marks
+
+let resident_log_bytes t =
+  Array.fold_left
+    (Array.fold_left (fun acc m -> acc + Bytes.length m.data))
+    0 t.streams
 
 (* ------------------------- fault injection -------------------------- *)
 
@@ -839,7 +879,8 @@ let set_log_faults t ?mirror profile =
    tests and the chaos harness's detection legs.  [mirror] is the
    flattened disk index stripe * K + mirror; offsets are relative to
    that stripe's own stream.  Lengths never change: the stream keeps its
-   extent, its contents rot. *)
+   extent, its contents rot.  Damage below the retention floor is a
+   no-op: those bytes are released. *)
 let inject_mirror_damage t ~mirror d =
   let k = Array.length t.streams.(0) in
   if mirror < 0 || mirror >= n_stripes t * k then
@@ -847,18 +888,19 @@ let inject_mirror_damage t ~mirror d =
   let s = mirror / k in
   let m = t.streams.(s).(mirror mod k) in
   let dlen = stripe_dlen t s in
+  let zero a b =
+    let a = max a t.trunc_marks.(s) in
+    if b > a then Bytes.fill m.data (at t ~s m a) (b - a) '\000'
+  in
   match d with
-  | Torn_tail n ->
-      let n = min n dlen in
-      if n > 0 then Bytes.fill m.data (dlen - n) n '\000'
+  | Torn_tail n -> if n > 0 then zero (dlen - n) dlen
   | Zero_span { off; len } ->
-      if off >= 0 && off < dlen && len > 0 then
-        Bytes.fill m.data off (min len (dlen - off)) '\000'
+      if off >= 0 && len > 0 then zero off (min (off + len) dlen)
   | Flip { off; bit } ->
-      if off >= 0 && off < dlen then
-        Bytes.set m.data off
-          (Char.chr
-             (Char.code (Bytes.get m.data off) lxor (1 lsl (bit land 7))))
+      if off >= t.trunc_marks.(s) && off < dlen then
+        let i = at t ~s m off in
+        Bytes.set m.data i
+          (Char.chr (Char.code (Bytes.get m.data i) lxor (1 lsl (bit land 7))))
 
 (* --------------------------- log reading ----------------------------- *)
 
@@ -882,9 +924,12 @@ let make_ctx ?(charge = true) t =
 
 let pos_mod a n = ((a mod n) + n) mod n
 
-(* Mangle a mirror's bytes within one log page per the drawn spec. *)
-let apply_corruption t m ~lp spec =
+(* Mangle stripe [s] mirror [m]'s bytes within one log page per the
+   drawn spec; bytes below the retention floor are released and left
+   alone. *)
+let apply_corruption t ~s m ~lp spec =
   let base = lp * t.page_size in
+  let floor = t.trunc_marks.(s) in
   let limit = min m.len (base + t.page_size) in
   if base < limit then
     match spec with
@@ -892,15 +937,16 @@ let apply_corruption t m ~lp spec =
         List.iter
           (fun (off, bit) ->
             let pos = base + pos_mod off t.page_size in
-            if pos < limit then
-              Bytes.set m.data pos
+            if pos >= floor && pos < limit then
+              let i = at t ~s m pos in
+              Bytes.set m.data i
                 (Char.chr
-                   (Char.code (Bytes.get m.data pos) lxor (1 lsl (bit land 7)))))
+                   (Char.code (Bytes.get m.data i) lxor (1 lsl (bit land 7)))))
           flips
     | Disk_model.Torn_sector off ->
         let pos = base + pos_mod off t.page_size in
-        let n = min 512 (limit - pos) in
-        if n > 0 then Bytes.fill m.data pos n '\000'
+        let lo = max pos floor and hi = min (pos + 512) limit in
+        if hi > lo then Bytes.fill m.data (at t ~s m lo) (hi - lo) '\000'
 
 (* Flattened log-disk index of stripe [s], mirror [k]. *)
 let disk_of t s k = (s * Array.length t.streams.(0)) + k
@@ -921,7 +967,7 @@ let read_log_page ctx ~s k lp =
                 `Ok
             | Disk_model.Read_corrupt (c, spec) ->
                 ctx.completion <- max ctx.completion c;
-                apply_corruption t t.streams.(s).(k) ~lp spec;
+                apply_corruption t ~s t.streams.(s).(k) ~lp spec;
                 `Ok
             | Disk_model.Read_error (c, `Transient) ->
                 ctx.completion <- max ctx.completion c;
@@ -955,16 +1001,17 @@ let try_mirror ctx ~s k pos =
   let t = ctx.wal in
   let m = t.streams.(s).(k) in
   let dlen = stripe_dlen t s in
+  let i = at t ~s m pos in
   if pos + 4 > dlen then `Overrun
   else if not (read_span ctx ~s k pos (pos + 4)) then `Bad
   else
-    let len = b_i32 m.data pos in
+    let len = b_i32 m.data i in
     if len < 9 || len > Codec.max_body then `Bad
     else if pos + 8 + len > dlen then `Overrun
     else if not (read_span ctx ~s k pos (pos + 8 + len)) then `Bad
     else
-      match Codec.decode ~len:dlen m.data pos with
-      | Some (r, next) -> `Rec (r, next)
+      match Codec.decode ~len:(dlen - m.base) m.data i with
+      | Some (r, next) -> `Rec (r, next + m.base)
       | None -> `Bad
 
 (* Heal mirror [dst]'s copy of stripe [s]'s span [pos, next) from mirror
@@ -972,8 +1019,8 @@ let try_mirror ctx ~s k pos =
    log pages (the write remaps any latent sector). *)
 let heal ctx ~s ~src ~dst pos next =
   let t = ctx.wal in
-  Bytes.blit t.streams.(s).(src).data pos t.streams.(s).(dst).data pos
-    (next - pos);
+  let ms = t.streams.(s).(src) and md = t.streams.(s).(dst) in
+  Bytes.blit ms.data (at t ~s ms pos) md.data (at t ~s md pos) (next - pos);
   for lp = pos / t.page_size to (next - 1) / t.page_size do
     Disk_model.write t.log_disks ~disk:(disk_of t s dst) ~phys:lp;
     Hashtbl.replace ctx.charged_pages (disk_of t s dst, lp) `Ok
@@ -1022,11 +1069,12 @@ let has_valid_beyond t ~s pos =
     Array.iter
       (fun m ->
         if not !found then begin
-          let len = b_i32 m.data !q in
+          let i = at t ~s m !q in
+          let len = b_i32 m.data i in
           if len >= 9 && len <= Codec.max_body && !q + 8 + len <= dlen then
-            let kind = Char.code (Bytes.get m.data (!q + 4)) in
+            let kind = Char.code (Bytes.get m.data (i + 4)) in
             if kind >= Codec.kind_image && kind <= Codec.kind_free then
-              match Codec.decode ~len:dlen m.data !q with
+              match Codec.decode ~len:(dlen - m.base) m.data i with
               | Some _ -> found := true
               | None -> ()
         end)
@@ -1470,7 +1518,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       streams =
         Array.init log_stripes (fun _ ->
             Array.init log_mirrors (fun _ ->
-                { data = Bytes.create 65536; len = 0 }));
+                { data = Bytes.create min_capacity; base = 0; len = 0 }));
       page_size;
       group_commit_bytes;
       pending = [];
@@ -1483,7 +1531,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       last_op = 0;
       ckpt_marks = Array.make log_stripes 0;
       trunc_marks = Array.make log_stripes 0;
-      boundaries = [];
+      bounds = Vec.create ~dummy:0;
       batched_redo = true;
       coalesce_redo = true;
       shadow = Vec.create ~dummy:None;
@@ -1547,7 +1595,13 @@ let detach t =
 
 let log_bytes t = t.sealed_bytes
 let durable_bytes t = t.durable_len
-let layout t = List.rev t.boundaries
+let layout t =
+  List.init
+    (Vec.length t.bounds / 2)
+    (fun i ->
+      let packed = Vec.get t.bounds ((2 * i) + 1) in
+      { end_off = Vec.get t.bounds (2 * i); size = packed lsr 3;
+        kind = kind_of_code (packed land 7) })
 let last_lsn t = t.next_lsn - 1
 let record_lsn = lsn_of
 let set_durable_observer t f = t.durable_obs <- f

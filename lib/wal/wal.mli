@@ -195,7 +195,8 @@ val set_log_faults : t -> ?mirror:int -> Fpb_storage.Fault.profile option -> uni
 
 (** Deterministically damage one log disk's durable bytes (tests and the
     chaos harness's detection legs); [mirror] is the flattened disk
-    index stripe * K + mirror. *)
+    index stripe * K + mirror.  Damage below the retention floor is a
+    no-op (those bytes are released). *)
 val inject_mirror_damage : t -> mirror:int -> damage -> unit
 
 (** Rebuild one page's committed bytes after media damage: replay the
@@ -339,16 +340,23 @@ val record_lsn : record -> int
 
 (** [truncate_to t ~marks] releases log space below the per-stripe
     offsets [marks] (a durable checkpoint's cut, e.g. the oldest shadow
-    generation still retained): every mirror's bytes between the current
-    retention floor and the mark are zeroed and the floor advances.
-    Clamped to the recovery start point, so a scan from the last
-    checkpoint is never affected.  Counts physical bytes released
-    (across mirrors) into [wal.log.truncated_bytes] and returns the
-    bytes released by this call. *)
+    generation still retained): the retention floor advances to the
+    mark, and the bytes below it are released — reading them raises
+    [Invalid_argument], and each mirror's host buffer shrinks to its
+    live bytes once the released prefix is half of it.  Clamped to the
+    recovery start point, so a scan from the last checkpoint is never
+    affected.  Counts physical bytes released (across mirrors) into
+    [wal.log.truncated_bytes] and returns the bytes released by this
+    call. *)
 val truncate_to : t -> marks:int array -> int
 
 (** Per-stripe retention floor (offsets below it are released). *)
 val retention_floor : t -> int array
+
+(** Host bytes the durable log occupies: the summed capacity of every
+    mirror's buffer.  Bounded by what the retention floor keeps, not by
+    how much was ever logged.  A gauge, not a [wal.*] counter. *)
+val resident_log_bytes : t -> int
 
 (** Every readable durable record above the retention floor, including
     the uncommitted tail; charge-free.  A rejoining old primary compares

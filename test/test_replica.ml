@@ -89,9 +89,9 @@ let test_net_determinism () =
 
 (* Small bulkloaded tree + attached WAL + 2-replica group over healthy
    links; serial committed inserts via [step]. *)
-let build_group ?(mode = Replica.Semi_sync 1) () =
+let build_group ?(mode = Replica.Semi_sync 1) ?(keys = 400) () =
   let rng = W.Prng.create 7 in
-  let pairs = W.Keygen.bulk_pairs rng 400 in
+  let pairs = W.Keygen.bulk_pairs rng keys in
   let sys = X.Setup.make ~n_disks:2 ~pool_pages:96 ~n_shards:1 ~page_size () in
   let idx = X.Run.build sys kind pairs ~fill in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.X.Setup.pool in
@@ -307,6 +307,151 @@ let test_retention_snapshot_catchup () =
   check_int "live replica converged" !committed
     (Replica.sync_node group ~horizon:max_int (Replica.node group 0))
 
+(* --- retention frees memory without changing any outcome ------------ *)
+
+let store_pages store =
+  List.init (Fpb_storage.Page_store.total_pages store) (fun i ->
+      Bytes.to_string (Fpb_storage.Page_store.bytes store (i + 1)))
+
+(* One semi-sync run with a shadow flip every [every] ops, [trim] after
+   each flip or never; node 1 optionally goes dark at op [dark_at].  The
+   primary dies after op [kill_at]; the promoted node then serves a
+   second phase (with flips and trims of its own) before the old primary
+   rejoins.  Everything observable about the failover is returned. *)
+let trim_run ~trim ~kill_at ~dark_at =
+  let sys, idx, wal, group =
+    build_group ~mode:(Replica.Semi_sync 1) ~keys:8000 ()
+  in
+  let sh = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.X.Setup.pool in
+  let flip sh idx group =
+    Shadow.checkpoint_sync sh ~meta:(Index_sig.meta idx);
+    if trim then
+      ignore
+        (Replica.trim_archive group ~below_lsn:(Shadow.retention_lsn sh) : int)
+  in
+  let committed = ref 0 in
+  for i = 1 to kill_at do
+    step idx wal committed;
+    if i = dark_at then Replica.detach_replica group (Replica.node group 1);
+    if i mod 6 = 0 then flip sh idx group
+  done;
+  Wal.crash_now wal;
+  Replica.kill group;
+  let horizon = Option.get (Replica.killed_at group) in
+  let acked = Replica.acked_op group ~horizon in
+  let durable =
+    List.init (Replica.n_nodes group) (fun i ->
+        Replica.node_durable_op group (Replica.node group i) ~horizon)
+  in
+  let p = Replica.promote group in
+  let promoted =
+    ( (p.Replica.committed_op, p.Replica.committed_lsn, p.Replica.meta),
+      p.Replica.truncated_records,
+      store_pages p.Replica.store )
+  in
+  let synced =
+    List.init (Replica.n_nodes group) (fun i ->
+        Replica.sync_node group ~horizon:max_int (Replica.node group i))
+  in
+  (* second phase on the promoted node, then the old primary rejoins *)
+  let idx2 = X.Run.adopt kind p.Replica.pool ~meta:p.Replica.meta in
+  let group2 = Replica.resume group p in
+  let committed2 = ref p.Replica.committed_op in
+  (* keys scattered over the tree, so the new history touches many
+     pages; the first commit also closes the pages adopting the handle
+     touched *)
+  let rng = W.Prng.create 3 in
+  let step2 () =
+    incr committed2;
+    ignore (Index_sig.insert idx2 (W.Prng.int rng (Key.max_key - 1)) 1);
+    Wal.commit p.Replica.wal ~op:!committed2 ~meta:(Index_sig.meta idx2)
+  in
+  step2 ();
+  let sh2 =
+    Shadow.attach ~meta:(Index_sig.meta idx2) p.Replica.wal p.Replica.pool
+  in
+  for i = 1 to 48 do
+    step2 ();
+    if i mod 6 = 0 then flip sh2 idx2 group2
+  done;
+  ignore (Wal.recover wal : Wal.recovery);
+  let rejoin =
+    match
+      Replica.rejoin group2 ~old_pool:sys.X.Setup.pool ~old_wal:wal
+        ~prng:(W.Prng.create 99) ()
+    with
+    | Replica.Rejoined { fork_lsn; truncated_records; pages_copied } ->
+        let back = Replica.node group2 (Replica.n_nodes group2 - 1) in
+        let op = Replica.sync_node group2 ~horizon:max_int back in
+        Some (fork_lsn, truncated_records, pages_copied, op)
+    | Replica.Snapshot_required _ -> None
+  in
+  ((acked, durable, promoted, synced), rejoin, Replica.kv group2)
+
+let trim_invisible_prop (kill_at, dark_at) =
+  let kept, kept_rejoin, kept_kv = trim_run ~trim:false ~kill_at ~dark_at in
+  let trimmed, trimmed_rejoin, trimmed_kv =
+    trim_run ~trim:true ~kill_at ~dark_at
+  in
+  let without_trims =
+    List.filter (fun (k, _) -> k <> "replica.archive.trimmed_records")
+  in
+  if kept <> trimmed then QCheck2.Test.fail_report "failover differs";
+  (* trimming may force a rejoin onto the snapshot path; a delta rejoin
+     must come out the same as without trims *)
+  match trimmed_rejoin with
+  | None -> true
+  | Some _ when trimmed_rejoin <> kept_rejoin ->
+      QCheck2.Test.fail_report "rejoin differs"
+  | Some _ -> without_trims kept_kv = without_trims trimmed_kv
+
+(* Fixed checkpoint interval: once retention reaches steady state, the
+   host memory behind the log and the shipping archive stops growing
+   while the log itself keeps growing. *)
+let test_bounded_residency () =
+  let sys, idx, wal, group = build_group ~mode:(Replica.Semi_sync 1) () in
+  let sh = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.X.Setup.pool in
+  let committed = ref 0 in
+  let gauges () =
+    ( Wal.resident_log_bytes wal,
+      Replica.retained_entries group,
+      Wal.log_bytes wal )
+  in
+  let at10 = ref (0, 0, 0) in
+  for cycle = 1 to 20 do
+    for _ = 1 to 24 do
+      step idx wal committed
+    done;
+    Shadow.checkpoint_sync sh ~meta:(Index_sig.meta idx);
+    ignore
+      (Replica.trim_archive group ~below_lsn:(Shadow.retention_lsn sh) : int);
+    if cycle = 10 then at10 := gauges ()
+  done;
+  let wal10, arch10, logged10 = !at10 in
+  let wal20, arch20, logged20 = gauges () in
+  check_bool "the log kept growing" true (logged20 * 10 >= logged10 * 18);
+  check_bool
+    (Printf.sprintf "WAL residency bounded (%d -> %d bytes)" wal10 wal20)
+    true
+    (wal20 * 10 <= wal10 * 11);
+  check_bool
+    (Printf.sprintf "archive residency bounded (%d -> %d entries)" arch10
+       arch20)
+    true
+    (arch20 * 10 <= arch10 * 11);
+  (* the released log is gone: a scan from below the floor is refused *)
+  Wal.set_recovery_base wal
+    (Some
+       {
+         Wal.load_page = (fun _ -> None);
+         base_marks = [| 0 |];
+         base_alloc = (0, []);
+       });
+  Wal.crash_now wal;
+  match Wal.recover wal with
+  | _ -> Alcotest.fail "recovery read below the retention floor"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "prng split: deterministic, independent" `Quick
@@ -326,4 +471,10 @@ let suite =
       `Quick test_rejoin_one_byte_divergence;
     Alcotest.test_case "retention: snapshot catch-up after trim" `Quick
       test_retention_snapshot_catchup;
+    Util.qtest ~count:6
+      "retention: trimming the archive is invisible to failover"
+      QCheck2.Gen.(pair (1 -- 40) (0 -- 40))
+      trim_invisible_prop;
+    Alcotest.test_case "retention: host residency bounded at a fixed interval"
+      `Quick test_bounded_residency;
   ]

@@ -543,6 +543,68 @@ let prop_recovery_prefix =
             points)
         X.Setup.all_kinds)
 
+(* --- log retention --- *)
+
+(* External checkpoint, as a shadow-paging layer runs one: capture the
+   cut, harden every page, seal the checkpoint record.  Returns the
+   cut's marks. *)
+let external_checkpoint sys wal idx =
+  let store = sys.X.Setup.store in
+  let marks = Wal.current_marks wal in
+  let alloc = (Page_store.total_pages store, Page_store.free_list store) in
+  Buffer_pool.flush_dirty sys.X.Setup.pool;
+  List.iter
+    (fun p -> ignore (Wal.harden_page wal p : bool))
+    (Wal.stale_pages wal);
+  Wal.external_checkpoint wal ~marks ~alloc ~meta:(Index_sig.meta idx);
+  marks
+
+(* Seeded commits with an external checkpoint every 8 (the last five
+   commits follow the last one), then mirror damage — anywhere in the
+   durable stream, or after the last cut — crash and recover.  [trim]
+   releases the log below every checkpoint's cut. *)
+let retention_run ~trim seed =
+  let sys, _, idx = build_small X.Setup.Disk_first 300 in
+  let wal =
+    Wal.attach ~log_mirrors:2 ~meta:(Index_sig.meta idx) sys.X.Setup.pool
+  in
+  let prng = Fpb_workload.Prng.create seed in
+  let draw n = Fpb_workload.Prng.int prng n in
+  let cut = ref 0 in
+  for i = 1 to 45 do
+    ignore (Index_sig.insert idx (draw (Key.max_key - 1)) i);
+    Wal.commit wal ~op:i ~meta:(Index_sig.meta idx);
+    if i mod 8 = 0 then begin
+      let marks = external_checkpoint sys wal idx in
+      cut := marks.(0);
+      if trim then ignore (Wal.truncate_to wal ~marks : int)
+    end
+  done;
+  let dlen = Wal.durable_bytes wal in
+  for _ = 1 to 3 do
+    let mirror = draw 2 in
+    let off = if draw 2 = 0 then draw dlen else !cut + draw (dlen - !cut) in
+    Wal.inject_mirror_damage wal ~mirror
+      (match draw 3 with
+      | 0 -> Wal.Torn_tail (dlen - off)
+      | 1 -> Wal.Zero_span { off; len = 1 + draw 4096 }
+      | _ -> Wal.Flip { off; bit = draw 8 })
+  done;
+  Wal.crash_now wal;
+  let r = Wal.recover wal in
+  let store = sys.X.Setup.store in
+  ( ( r.Wal.committed_ops,
+      r.Wal.meta,
+      r.Wal.redo_records,
+      r.Wal.damaged_records ),
+    List.init (Page_store.total_pages store) (fun i ->
+        Bytes.to_string (Page_store.bytes store (i + 1))) )
+
+let prop_retention_invisible =
+  Util.qtest ~count:10 "retention is invisible to recovery"
+    QCheck2.Gen.(1 -- 10_000)
+    (fun seed -> retention_run ~trim:true seed = retention_run ~trim:false seed)
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -566,4 +628,5 @@ let suite =
     prop_striping_invariant;
     prop_mirror_survives_single_fault;
     prop_recovery_prefix;
+    prop_retention_invisible;
   ]
