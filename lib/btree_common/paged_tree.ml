@@ -477,10 +477,13 @@ module Make (F : PAGE_FORMAT) = struct
 
   (* --- Range scan ---------------------------------------------------------- *)
 
+  (* Page-level jump-pointer cursor over the leaf-parent level: yields
+     successive leaf page IDs, then [nil] once exhausted (a bare ID, not an
+     [int option], so stepping it allocates nothing). *)
   type jp_cursor = { mutable jp_page : int; mutable jp_idx : int }
 
   let rec jp_next t cur =
-    if cur.jp_page = nil then None
+    if cur.jp_page = nil then nil
     else begin
       let r = Buffer_pool.get t.pool cur.jp_page in
       let n = Mem.read_u16 t.sim r off_n in
@@ -488,14 +491,39 @@ module Make (F : PAGE_FORMAT) = struct
         let pid = Mem.read_i32 t.sim r (ptr_off t cur.jp_idx) in
         cur.jp_idx <- cur.jp_idx + 1;
         Buffer_pool.unpin t.pool cur.jp_page;
-        Some pid
+        pid
       end
       else begin
         let next = Mem.read_i32 t.sim r off_next in
         Buffer_pool.unpin t.pool cur.jp_page;
         cur.jp_page <- next;
         cur.jp_idx <- 0;
-        if next = nil then None else jp_next t cur
+        if next = nil then nil else jp_next t cur
+      end
+    end
+
+  (* The same cursor walked backwards: the next preceding leaf page ID, or
+     [nil] once exhausted. *)
+  let rec jp_prev t cur =
+    if cur.jp_page = nil then nil
+    else if cur.jp_idx >= 0 then begin
+      let pr = Buffer_pool.get t.pool cur.jp_page in
+      let pid = Mem.read_i32 t.sim pr (ptr_off t cur.jp_idx) in
+      cur.jp_idx <- cur.jp_idx - 1;
+      Buffer_pool.unpin t.pool cur.jp_page;
+      pid
+    end
+    else begin
+      let pr = Buffer_pool.get t.pool cur.jp_page in
+      let prev = Mem.read_i32 t.sim pr off_prev in
+      Buffer_pool.unpin t.pool cur.jp_page;
+      cur.jp_page <- prev;
+      if prev = nil then nil
+      else begin
+        let pr2 = Buffer_pool.get t.pool prev in
+        cur.jp_idx <- Mem.read_u16 t.sim pr2 off_n - 1;
+        Buffer_pool.unpin t.pool prev;
+        jp_prev t cur
       end
     end
 
@@ -531,12 +559,13 @@ module Make (F : PAGE_FORMAT) = struct
         if prefetch then
           while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
           do
-            match jp_next t cur with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = end_leaf then done_prefetching := true
+            let pid = jp_next t cur in
+            if pid = nil then done_prefetching := true
+            else begin
+              Buffer_pool.prefetch t.pool pid;
+              incr outstanding;
+              if pid = end_leaf then done_prefetching := true
+            end
           done
       in
       pump ();
@@ -592,41 +621,19 @@ module Make (F : PAGE_FORMAT) = struct
       let page, r, parent, parent_idx = descend_with_parent t end_key in
       (* backward cursor over the leaf-parent level *)
       let cur = { jp_page = parent; jp_idx = parent_idx - 1 } in
-      let rec jp_prev () =
-        if cur.jp_page = nil then None
-        else if cur.jp_idx >= 0 then begin
-          let pr = Buffer_pool.get t.pool cur.jp_page in
-          let pid = Mem.read_i32 t.sim pr (ptr_off t cur.jp_idx) in
-          cur.jp_idx <- cur.jp_idx - 1;
-          Buffer_pool.unpin t.pool cur.jp_page;
-          Some pid
-        end
-        else begin
-          let pr = Buffer_pool.get t.pool cur.jp_page in
-          let prev = Mem.read_i32 t.sim pr off_prev in
-          Buffer_pool.unpin t.pool cur.jp_page;
-          cur.jp_page <- prev;
-          if prev = nil then None
-          else begin
-            let pr2 = Buffer_pool.get t.pool prev in
-            cur.jp_idx <- Mem.read_u16 t.sim pr2 off_n - 1;
-            Buffer_pool.unpin t.pool prev;
-            jp_prev ()
-          end
-        end
-      in
       let outstanding = ref 0 in
       let done_prefetching = ref (parent = nil || start_leaf = page) in
       let pump () =
         if prefetch then
           while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
           do
-            match jp_prev () with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = start_leaf then done_prefetching := true
+            let pid = jp_prev t cur in
+            if pid = nil then done_prefetching := true
+            else begin
+              Buffer_pool.prefetch t.pool pid;
+              incr outstanding;
+              if pid = start_leaf then done_prefetching := true
+            end
           done
       in
       pump ();

@@ -6,8 +6,10 @@
     [_ns] simulated nanoseconds, everything else plain events — and every
     name is catalogued in [docs/OBSERVABILITY.md].
 
-    [add]/[incr] compile to a single field mutation, so counters are safe
-    to charge from simulator hot paths. *)
+    In the default (release) build, [add]/[incr] are inlined into their
+    callers and compile to a single field mutation, so counters are safe
+    to charge from simulator hot paths.  [--profile dev] compiles with
+    [-opaque], which makes each of them a cross-module call. *)
 
 type t
 

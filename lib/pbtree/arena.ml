@@ -43,13 +43,18 @@ let alloc t bytes =
   t.used <- t.used + bytes;
   handle
 
-(* Resolve a handle to (region, offset). *)
-let deref t handle =
+(* The region holding a handle, and the handle's offset within it.  Kept
+   apart so per-node loops resolve a handle without building a pair. *)
+let region t handle =
   let idx = handle / chunk_bytes in
-  let off = handle mod chunk_bytes in
   if handle <= 0 || idx >= Vec.length t.chunks then
-    invalid_arg (Printf.sprintf "Arena.deref: bad handle %#x" handle);
-  (Vec.get t.chunks idx, off)
+    invalid_arg (Printf.sprintf "Arena: bad handle %#x" handle);
+  Vec.get t.chunks idx
+
+let offset handle = handle mod chunk_bytes
+
+(* Resolve a handle to (region, offset). *)
+let deref t handle = (region t handle, offset handle)
 
 let allocated_bytes t =
   if Vec.length t.chunks = 0 then 0

@@ -264,23 +264,25 @@ let bulkload t pairs ~fill =
 (* --- Range scan ---------------------------------------------------------- *)
 
 (* Cache-granularity jump-pointer prefetching: walk the leaf-parent level
-   and prefetch upcoming leaf nodes while the current one is consumed. *)
+   and prefetch upcoming leaf nodes while the current one is consumed.
+   [jp_next] yields successive leaf node addresses, then [nil] once
+   exhausted. *)
 type jp_cursor = { mutable jp_node : int; mutable jp_idx : int }
 
 let rec jp_next t cur =
-  if cur.jp_node = nil then None
+  if cur.jp_node = nil then nil
   else begin
-    let r, off = Arena.deref t.arena cur.jp_node in
+    let r = Arena.region t.arena cur.jp_node and off = Arena.offset cur.jp_node in
     let n = Mem.read_u16 t.sim r (off + off_n) in
     if cur.jp_idx < n then begin
       let p = Mem.read_i32 t.sim r (off + ptr_off t cur.jp_idx) in
       cur.jp_idx <- cur.jp_idx + 1;
-      Some p
+      p
     end
     else begin
       cur.jp_node <- Mem.read_i32 t.sim r (off + off_next);
       cur.jp_idx <- 0;
-      if cur.jp_node = nil then None else jp_next t cur
+      if cur.jp_node = nil then nil else jp_next t cur
     end
   end
 
@@ -300,12 +302,13 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
     let pump () =
       if prefetch then
         while (not !done_prefetching) && !outstanding < t.scan_prefetch_nodes do
-          match jp_next t cur with
-          | None -> done_prefetching := true
-          | Some node ->
-              let r, off = Arena.deref t.arena node in
-              Mem.prefetch t.sim r ~off ~len:t.node_bytes;
-              incr outstanding
+          let node = jp_next t cur in
+          if node = nil then done_prefetching := true
+          else begin
+            Mem.prefetch t.sim (Arena.region t.arena node) ~off:(Arena.offset node)
+              ~len:t.node_bytes;
+            incr outstanding
+          end
         done
     in
     pump ();
@@ -334,8 +337,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
         if next <> nil then begin
           if !outstanding > 0 then decr outstanding;
           pump ();
-          let nr, noff = Arena.deref t.arena next in
-          scan_node nr noff
+          scan_node (Arena.region t.arena next) (Arena.offset next)
         end
       end
     in

@@ -592,6 +592,46 @@ let test_durability_alloc () =
        ("4 KB image", image 4096);
      ])
 
+(* Jump-pointer range scans step their prefetch cursor once per leaf, so
+   a long scan over a resident tree may allocate a fixed amount per call
+   (its closures and cursor) but nothing per leaf: fewer minor words in
+   all than leaves visited.  [scan ()] returns the leaves it visited; a
+   first call warms the pool. *)
+let check_scan_alloc name scan =
+  ignore (scan ());
+  let before = Gc.minor_words () in
+  let leaves = scan () in
+  let words = Gc.minor_words () -. before in
+  if leaves < 50 then Alcotest.failf "%s visits only %d leaves" name leaves;
+  if words >= float_of_int leaves then
+    Alcotest.failf "%s allocates %.0f minor words over %d leaves" name words
+      leaves
+
+let test_scan_no_alloc_per_leaf () =
+  let module D = Fpb_disk_btree.Disk_btree in
+  let pool = Util.make_pool ~page_size:4096 ~capacity:4096 () in
+  let t = D.create pool in
+  D.bulkload t (Array.init 200_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  let sink = ref 0 in
+  let f k v = sink := !sink + k + v in
+  let leaf_visits scan () =
+    D.reset_level_accesses t;
+    ignore (scan ~start_key:1001 ~end_key:300_001 f);
+    let acc = D.level_accesses t in
+    acc.(Array.length acc - 1)
+  in
+  check_scan_alloc "Disk_btree.range_scan"
+    (leaf_visits (D.range_scan t ~prefetch:true));
+  check_scan_alloc "Disk_btree.range_scan_rev"
+    (leaf_visits (D.range_scan_rev t ~prefetch:true));
+  let module P = Fpb_pbtree.Pbtree in
+  let p = P.create (Sim.create ()) in
+  P.bulkload p (Array.init 20_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  check_scan_alloc "Pbtree.range_scan" (fun () ->
+      let n = P.range_scan p ~prefetch:true ~start_key:1001 ~end_key:30_001 f in
+      n / P.capacity p);
+  ignore (Sys.opaque_identity !sink)
+
 (* --- Simulated-counter pins ----------------------------------------------
 
    A fixed-seed mixed workload (search, insert, range scan, batched search)
@@ -758,6 +798,8 @@ let suite =
       test_pool_pin_no_alloc;
     Alcotest.test_case "page checksum and record encode allocate only the frame"
       `Quick test_durability_alloc;
+    Alcotest.test_case "jump-pointer range scans allocate nothing per leaf"
+      `Quick test_scan_no_alloc_per_leaf;
   ]
   @ List.map
       (fun (name, _) ->
