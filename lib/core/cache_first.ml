@@ -962,12 +962,13 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
       | Some cur ->
           while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
           do
-            match Jump_array.next cur with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = end_page then done_prefetching := true
+            let pid = Jump_array.next cur in
+            if pid = nil then done_prefetching := true
+            else begin
+              Buffer_pool.prefetch t.pool pid;
+              incr outstanding;
+              if pid = end_page then done_prefetching := true
+            end
           done
     in
     pump ();

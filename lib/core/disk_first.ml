@@ -862,61 +862,103 @@ let rec jp_next t cur =
     end
   end
 
-(* Cache-granularity prefetch of all in-page leaf nodes of a leaf page
-   (walks the nonleaf structure, whose nodes the search just touched). *)
-let prefetch_page_leaves t r =
-  let c = t.cfg in
-  let rec go line depth levels =
-    if depth = levels then
-      Mem.prefetch t.sim r ~off:(node_off line) ~len:(c.x * line_bytes)
-    else begin
-      let n = read_n t r line in
-      for j = 0 to n - 1 do
-        go (Mem.read_u16 t.sim r (nonleaf_child_off c line j)) (depth + 1) levels
-      done
+(* The same cursor walked backwards: the next preceding tree-leaf page ID,
+   or [nil] once exhausted.  Crossing to the previous page starts at its
+   last in-page leaf node. *)
+let rec jp_prev t cur =
+  if cur.jp_page = nil then nil
+  else begin
+    let r = Buffer_pool.get t.pool cur.jp_page in
+    if cur.jp_idx >= 0 then begin
+      let pid = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg cur.jp_line cur.jp_idx) in
+      cur.jp_idx <- cur.jp_idx - 1;
+      Buffer_pool.unpin t.pool cur.jp_page;
+      pid
     end
-  in
+    else begin
+      let prev_line = Mem.read_u16 t.sim r (node_off cur.jp_line + n_prev) in
+      if prev_line <> 0 then begin
+        cur.jp_line <- prev_line;
+        cur.jp_idx <- read_n t r prev_line - 1;
+        Buffer_pool.unpin t.pool cur.jp_page;
+        jp_prev t cur
+      end
+      else begin
+        let prev_page = Mem.read_i32 t.sim r h_prev in
+        Buffer_pool.unpin t.pool cur.jp_page;
+        cur.jp_page <- prev_page;
+        if prev_page = nil then nil
+        else begin
+          let r2 = Buffer_pool.get t.pool prev_page in
+          cur.jp_line <- Mem.read_u16 t.sim r2 h_last_leaf;
+          cur.jp_idx <- read_n t r2 cur.jp_line - 1;
+          Buffer_pool.unpin t.pool prev_page;
+          jp_prev t cur
+        end
+      end
+    end
+  end
+
+(* A scan's descent from [page] at [depth] to the tree-leaf page for [key],
+   routing each page exactly as [ip_route] does (the same charged reads).
+   At the leaf-parent depth it parks [cur] on the entry it routed through,
+   so the scan's cursor steps on from that leaf without searching for it.
+   A height-1 tree has no leaf parent and leaves [cur] as it is. *)
+let rec scan_descend t cur key page depth =
+  if depth = t.levels then page
+  else begin
+    let r = Buffer_pool.get t.pool page in
+    let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
+    let n = read_n t r line in
+    let slot = max 0 (ip_leaf_slot t r line ~n ~key `Upper - 1) in
+    let child = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line slot) in
+    bump_level t depth;
+    if depth = t.levels - 1 then begin
+      cur.jp_page <- page;
+      cur.jp_line <- line;
+      cur.jp_idx <- slot
+    end;
+    Buffer_pool.unpin t.pool page;
+    scan_descend t cur key child (depth + 1)
+  end
+
+(* Cache-granularity prefetch of all in-page leaf nodes of a leaf page
+   (walks the nonleaf structure, whose nodes the search just touched).
+   Top-level recursion, so a scan allocates no closure per page. *)
+let rec prefetch_leaves_below t r line depth levels =
+  if depth = levels then
+    Mem.prefetch t.sim r ~off:(node_off line) ~len:(t.cfg.x * line_bytes)
+  else begin
+    let n = read_n t r line in
+    for j = 0 to n - 1 do
+      prefetch_leaves_below t r
+        (Mem.read_u16 t.sim r (nonleaf_child_off t.cfg line j))
+        (depth + 1) levels
+    done
+  end
+
+let prefetch_page_leaves t r =
   let levels = Mem.read_u8 t.sim r h_ip_levels in
-  go (Mem.read_u16 t.sim r h_root) 1 levels
+  prefetch_leaves_below t r (Mem.read_u16 t.sim r h_root) 1 levels
 
 let range_scan t ?(prefetch = true) ~start_key ~end_key f =
   Sim.busy_op t.sim;
   if end_key < start_key then 0
   else begin
     let c = t.cfg in
+    let cur = { jp_page = nil; jp_line = 0; jp_idx = 0 } in
     (* end page, to bound I/O prefetching (avoid overshooting) *)
-    let rec find_page key page depth ~visit =
-      if depth = t.levels then page
-      else begin
-        let r = Buffer_pool.get t.pool page in
-        let child = ip_route t r key in
-        bump_level t depth;
-        visit page r;
-        Buffer_pool.unpin t.pool page;
-        find_page key child (depth + 1) ~visit
-      end
-    in
     let end_leaf =
-      if prefetch && t.bound_scan_end then
-        find_page end_key t.root 1 ~visit:(fun _ _ -> ())
+      if prefetch && t.bound_scan_end then scan_descend t cur end_key t.root 1
       else nil
     in
-    let parent = ref nil in
-    let start_leaf =
-      find_page start_key t.root 1 ~visit:(fun p _ -> parent := p)
-    in
-    (* position the jump-pointer cursor on the start leaf's entry *)
-    let cur = { jp_page = !parent; jp_line = 0; jp_idx = 0 } in
-    (if !parent <> nil then begin
-       (* advance the cursor past the start leaf *)
-       let pid = ref (jp_next t cur) in
-       while !pid <> nil && !pid <> start_leaf do
-         pid := jp_next t cur
-       done
-     end);
+    (* the start-key descent re-parks [cur] on the start leaf's entry; the
+       cursor then yields the pages after it *)
+    let start_leaf = scan_descend t cur start_key t.root 1 in
+    cur.jp_idx <- cur.jp_idx + 1;
     let outstanding = ref 0 in
     (* nothing to prefetch when the scan starts on the end page *)
-    let done_prefetching = ref (!parent = nil || end_leaf = start_leaf) in
+    let done_prefetching = ref (cur.jp_page = nil || end_leaf = start_leaf) in
     let pump () =
       if prefetch then
         while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
@@ -978,87 +1020,20 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
   if end_key < start_key then 0
   else begin
     let c = t.cfg in
-    let rec find_page key page depth ~visit =
-      if depth = t.levels then page
-      else begin
-        let r = Buffer_pool.get t.pool page in
-        let child = ip_route t r key in
-        bump_level t depth;
-        visit page;
-        Buffer_pool.unpin t.pool page;
-        find_page key child (depth + 1) ~visit
-      end
-    in
+    let cur = { jp_page = nil; jp_line = 0; jp_idx = 0 } in
     let start_leaf =
-      if prefetch then find_page start_key t.root 1 ~visit:(fun _ -> ())
-      else nil
+      if prefetch then scan_descend t cur start_key t.root 1 else nil
     in
-    let parent = ref nil in
-    let end_leaf = find_page end_key t.root 1 ~visit:(fun p -> parent := p) in
-    (* backward jump-pointer cursor over the leaf-parent pages: locate the
-       entry for [end_leaf], then yield preceding leaf page IDs *)
-    let jp_pg = ref !parent and jp_line = ref 0 and jp_idx = ref 0 in
-    (if !parent <> nil then begin
-       let pr = Buffer_pool.get t.pool !parent in
-       let line = ref (Mem.read_u16 t.sim pr h_first_leaf) in
-       (try
-          while !line <> 0 do
-            let n = read_n t pr !line in
-            for j = 0 to n - 1 do
-              if Mem.read_i32 t.sim pr (leaf_ptr_off c !line j) = end_leaf
-              then begin
-                jp_line := !line;
-                jp_idx := j - 1;
-                raise Exit
-              end
-            done;
-            line := Mem.read_u16 t.sim pr (node_off !line + n_next)
-          done;
-          jp_pg := nil (* not found: no prefetch *)
-        with Exit -> ());
-       Buffer_pool.unpin t.pool !parent
-     end);
-    (* the next preceding leaf page ID, or [nil] once exhausted *)
-    let rec jp_prev () =
-      if !jp_pg = nil then nil
-      else begin
-        let pr = Buffer_pool.get t.pool !jp_pg in
-        if !jp_idx >= 0 then begin
-          let pid = Mem.read_i32 t.sim pr (leaf_ptr_off c !jp_line !jp_idx) in
-          jp_idx := !jp_idx - 1;
-          Buffer_pool.unpin t.pool !jp_pg;
-          pid
-        end
-        else begin
-          let prev_line = Mem.read_u16 t.sim pr (node_off !jp_line + n_prev) in
-          if prev_line <> 0 then begin
-            jp_line := prev_line;
-            jp_idx := read_n t pr prev_line - 1;
-            Buffer_pool.unpin t.pool !jp_pg;
-            jp_prev ()
-          end
-          else begin
-            let prev_pg = Mem.read_i32 t.sim pr h_prev in
-            Buffer_pool.unpin t.pool !jp_pg;
-            jp_pg := prev_pg;
-            if prev_pg = nil then nil
-            else begin
-              let pr2 = Buffer_pool.get t.pool prev_pg in
-              jp_line := Mem.read_u16 t.sim pr2 h_last_leaf;
-              jp_idx := read_n t pr2 !jp_line - 1;
-              Buffer_pool.unpin t.pool prev_pg;
-              jp_prev ()
-            end
-          end
-        end
-      end
-    in
+    (* the end-key descent re-parks [cur] on the end leaf's entry; the
+       cursor then yields the pages before it *)
+    let end_leaf = scan_descend t cur end_key t.root 1 in
+    cur.jp_idx <- cur.jp_idx - 1;
     let outstanding = ref 0 in
     let done_prefetching = ref ((not prefetch) || start_leaf = end_leaf) in
     let pump () =
       if prefetch then
         while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
-          let pid = jp_prev () in
+          let pid = jp_prev t cur in
           if pid = nil then done_prefetching := true
           else begin
             Buffer_pool.prefetch t.pool pid;
@@ -1167,6 +1142,33 @@ let iter t f =
     end
   in
   walk (leftmost t.root 1)
+
+let leaf_parent_level t =
+  let rec first_leaf_parent page depth =
+    if depth = t.levels - 1 then page
+    else begin
+      let r = peek_region t page in
+      let first = Mem.peek_u16 r h_first_leaf in
+      first_leaf_parent (Mem.peek_i32 r (leaf_ptr_off t.cfg first 0)) (depth + 1)
+    end
+  in
+  let node r line =
+    Array.init (Mem.peek_u16 r (node_off line + n_count)) (fun j ->
+        (Mem.peek_i32 r (leaf_key_off t.cfg line j),
+         Mem.peek_i32 r (leaf_ptr_off t.cfg line j)))
+  in
+  let rec nodes r line =
+    if line = 0 then []
+    else node r line :: nodes r (Mem.peek_u16 r (node_off line + n_next))
+  in
+  let rec pages page =
+    if page = nil then []
+    else begin
+      let r = peek_region t page in
+      nodes r (Mem.peek_u16 r h_first_leaf) :: pages (Mem.peek_i32 r h_next)
+    end
+  in
+  if t.levels = 1 then [] else pages (first_leaf_parent t.root 1)
 
 (* Check the in-page tree of one page; returns its entries in order. *)
 let check_in_page t r page =

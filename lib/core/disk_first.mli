@@ -101,3 +101,9 @@ val set_trace : t -> Fpb_obs.Trace.t option -> unit
 val check : t -> unit
 
 val iter : t -> (int -> int -> unit) -> unit
+
+(** The leaf-parent level, which range scans walk as their jump-pointer
+    array: one list per page in sibling order, holding one array per
+    in-page leaf node of [(key, leaf page)] entries.  Empty on a height-1
+    tree. *)
+val leaf_parent_level : t -> (int * int) array list list

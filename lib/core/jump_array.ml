@@ -154,8 +154,10 @@ let cursor_at t ~chunk ~page =
   Buffer_pool.unpin t.pool chunk;
   { arr = t; chunk; idx }
 
+(* The next page ID, or [nil] once exhausted: a scan steps the cursor once
+   per leaf page, so it returns a bare ID rather than an [int option]. *)
 let rec next cur =
-  if cur.chunk = nil then None
+  if cur.chunk = nil then nil
   else begin
     let t = cur.arr in
     let r = Buffer_pool.get t.pool cur.chunk in
@@ -164,14 +166,14 @@ let rec next cur =
       let id = Mem.read_i32 t.sim r (id_off cur.idx) in
       cur.idx <- cur.idx + 1;
       Buffer_pool.unpin t.pool cur.chunk;
-      Some id
+      id
     end
     else begin
       let nxt = Mem.read_i32 t.sim r c_next in
       Buffer_pool.unpin t.pool cur.chunk;
       cur.chunk <- nxt;
       cur.idx <- 0;
-      if nxt = nil then None else next cur
+      if nxt = nil then nil else next cur
     end
   end
 

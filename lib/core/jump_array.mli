@@ -34,7 +34,8 @@ type cursor
     yields [page] itself. *)
 val cursor_at : t -> chunk:int -> page:int -> cursor
 
-val next : cursor -> int option
+(** The next page ID, or [Page_store.nil] once the array is exhausted. *)
+val next : cursor -> int
 
 (** Free every chunk and empty the array (before a bulk rebuild). *)
 val reset : t -> unit

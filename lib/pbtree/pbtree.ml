@@ -46,12 +46,12 @@ let new_node t ~leaf =
   Mem.write_i32 t.sim r (off + off_prev) nil;
   addr
 
-(* Prefetch all lines of a node, then return its (region, offset). *)
+(* Prefetch all lines of a node.  Callers resolve it through
+   [Arena.region] / [Arena.offset], so no pair is built per level. *)
 let fetch_node t addr =
-  let r, off = Arena.deref t.arena addr in
-  Mem.prefetch t.sim r ~off ~len:t.node_bytes;
-  Sim.busy_node t.sim;
-  (r, off)
+  Mem.prefetch t.sim (Arena.region t.arena addr) ~off:(Arena.offset addr)
+    ~len:t.node_bytes;
+  Sim.busy_node t.sim
 
 let create ?(node_lines = 8) sim =
   let node_bytes = 64 * node_lines in
@@ -78,23 +78,26 @@ let route t r off ~n key =
   let i = Array_search.upper_bound t.sim r ~off:(off + key_off 0) ~n ~key in
   max 0 (i - 1)
 
-let descend t key ~visit =
-  let rec go addr =
-    let r, off = fetch_node t addr in
-    if Mem.read_u8 t.sim r (off + off_is_leaf) = 1 then (addr, r, off)
-    else begin
-      let n = Mem.read_u16 t.sim r (off + off_n) in
-      let i = route t r off ~n key in
-      let child = Mem.read_i32 t.sim r (off + ptr_off t i) in
-      visit addr r off n i;
-      go child
-    end
-  in
-  go t.root
+(* Descend from node [addr] to the leaf for [key] and return the leaf's
+   address; [visit] sees each nonleaf node's address and the slot taken. *)
+let rec descend t key ~visit addr =
+  fetch_node t addr;
+  let r = Arena.region t.arena addr and off = Arena.offset addr in
+  if Mem.read_u8 t.sim r (off + off_is_leaf) = 1 then addr
+  else begin
+    let n = Mem.read_u16 t.sim r (off + off_n) in
+    let i = route t r off ~n key in
+    let child = Mem.read_i32 t.sim r (off + ptr_off t i) in
+    visit addr i;
+    descend t key ~visit child
+  end
+
+let no_visit _ _ = ()
 
 let search t key =
   Sim.busy_op t.sim;
-  let _addr, r, off = descend t key ~visit:(fun _ _ _ _ _ -> ()) in
+  let leaf = descend t key ~visit:no_visit t.root in
+  let r = Arena.region t.arena leaf and off = Arena.offset leaf in
   let n = Mem.read_u16 t.sim r (off + off_n) in
   let i = Array_search.lower_bound t.sim r ~off:(off + key_off 0) ~n ~key in
   if i < n && Mem.read_i32 t.sim r (off + key_off i) = key then
@@ -177,7 +180,8 @@ let insert t key tid =
   if not (Key.valid key) then invalid_arg "Pbtree.insert: key out of range";
   Sim.busy_op t.sim;
   let path = ref [] in
-  let addr, r, off = descend t key ~visit:(fun a _ _ _ _ -> path := a :: !path) in
+  let addr = descend t key ~visit:(fun a _ -> path := a :: !path) t.root in
+  let r = Arena.region t.arena addr and off = Arena.offset addr in
   let n = Mem.read_u16 t.sim r (off + off_n) in
   let i = Array_search.lower_bound t.sim r ~off:(off + key_off 0) ~n ~key in
   if i < n && Mem.read_i32 t.sim r (off + key_off i) = key then begin
@@ -201,7 +205,8 @@ let insert t key tid =
 
 let delete t key =
   Sim.busy_op t.sim;
-  let _addr, r, off = descend t key ~visit:(fun _ _ _ _ _ -> ()) in
+  let leaf = descend t key ~visit:no_visit t.root in
+  let r = Arena.region t.arena leaf and off = Arena.offset leaf in
   let n = Mem.read_u16 t.sim r (off + off_n) in
   let i = Array_search.lower_bound t.sim r ~off:(off + key_off 0) ~n ~key in
   let found = i < n && Mem.read_i32 t.sim r (off + key_off i) = key in
@@ -291,10 +296,12 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
   if end_key < start_key then 0
   else begin
     let parent = ref nil and parent_idx = ref 0 in
-    let _addr, r0, off0 =
-      descend t start_key ~visit:(fun a _ _ _ i ->
+    let leaf =
+      descend t start_key
+        ~visit:(fun a i ->
           parent := a;
           parent_idx := i)
+        t.root
     in
     let cur = { jp_node = !parent; jp_idx = !parent_idx + 1 } in
     let outstanding = ref 0 in
@@ -341,7 +348,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
         end
       end
     in
-    scan_node r0 off0;
+    scan_node (Arena.region t.arena leaf) (Arena.offset leaf);
     !count
   end
 

@@ -592,6 +592,22 @@ let test_durability_alloc () =
        ("4 KB image", image 4096);
      ])
 
+(* A pB+-Tree point search resolves each node through [Arena.region] /
+   [Arena.offset] and returns its leaf as a bare address, so a hit
+   allocates only its [Some] (2 words), whatever the tree height. *)
+let test_pbtree_search_alloc () =
+  let module P = Fpb_pbtree.Pbtree in
+  let p = P.create (Sim.create ()) in
+  P.bulkload p (Array.init 20_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  check_int "height" 3 (P.height p);
+  let i = ref 0 in
+  let w =
+    words_per_call (fun () ->
+        i := (!i + 7919) mod 20_000;
+        ignore (Sys.opaque_identity (P.search p (2 * !i))))
+  in
+  if w > 2.0 then Alcotest.failf "Pbtree.search allocates %.2f words per call" w
+
 (* Jump-pointer range scans step their prefetch cursor once per leaf, so
    a long scan over a resident tree may allocate a fixed amount per call
    (its closures and cursor) but nothing per leaf: fewer minor words in
@@ -624,6 +640,30 @@ let test_scan_no_alloc_per_leaf () =
     (leaf_visits (D.range_scan t ~prefetch:true));
   check_scan_alloc "Disk_btree.range_scan_rev"
     (leaf_visits (D.range_scan_rev t ~prefetch:true));
+  let module F = Fpb_core.Disk_first in
+  let df = F.create (Util.make_pool ~page_size:4096 ~capacity:4096 ()) in
+  F.bulkload df (Array.init 200_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  let df_leaf_visits scan () =
+    F.reset_level_accesses df;
+    ignore (scan ~start_key:1001 ~end_key:300_001 f);
+    let acc = F.level_accesses df in
+    acc.(Array.length acc - 1)
+  in
+  check_scan_alloc "Disk_first.range_scan"
+    (df_leaf_visits (F.range_scan df ~prefetch:true));
+  check_scan_alloc "Disk_first.range_scan_rev"
+    (df_leaf_visits (F.range_scan_rev df ~prefetch:true));
+  let module C = Fpb_core.Cache_first in
+  let cf = C.create (Util.make_pool ~page_size:4096 ~capacity:4096 ()) in
+  C.bulkload cf (Array.init 200_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  (* cache-first counts leaf-node visits; a leaf page holds at most
+     [slots] nodes, so this quotient is at most the leaf pages visited,
+     the unit its jump-pointer cursor steps in *)
+  check_scan_alloc "Cache_first.range_scan" (fun () ->
+      C.reset_level_accesses cf;
+      ignore (C.range_scan cf ~prefetch:true ~start_key:1001 ~end_key:300_001 f);
+      let acc = C.level_accesses cf in
+      acc.(Array.length acc - 1) / (C.cfg cf).C.slots);
   let module P = Fpb_pbtree.Pbtree in
   let p = P.create (Sim.create ()) in
   P.bulkload p (Array.init 20_000 (fun i -> (2 * i, i))) ~fill:1.0;
@@ -722,15 +762,15 @@ let pinned_counters =
         2945839704 ) );
     ( "disk_first",
       ( [
-          ("sim.busy_cycles", 1953317);
+          ("sim.busy_cycles", 1373625);
           ("sim.stall_cycles", 761713);
-          ("sim.l1_hits", 84936);
+          ("sim.l1_hits", 79384);
           ("sim.l2_hits", 180);
           ("sim.mem_misses", 4082);
           ("sim.prefetch_issued", 8690);
           ("sim.prefetch_useful", 1595);
           ("sim.prefetch_waits", 2292);
-          ("pool.hits", 3600);
+          ("pool.hits", 866);
           ("pool.misses", 309);
           ("pool.evictions", 559);
           ("pool.prefetch_issued", 212);
@@ -740,7 +780,7 @@ let pinned_counters =
           ("disk.writes", 169);
           ("disk.busy_ns", 4310656000);
         ],
-        2833052463 ) );
+        2832472771 ) );
     ( "cache_first",
       ( [
           ("sim.busy_cycles", 2203319);
@@ -798,6 +838,8 @@ let suite =
       test_pool_pin_no_alloc;
     Alcotest.test_case "page checksum and record encode allocate only the frame"
       `Quick test_durability_alloc;
+    Alcotest.test_case "pB+-Tree search allocates only its result" `Quick
+      test_pbtree_search_alloc;
     Alcotest.test_case "jump-pointer range scans allocate nothing per leaf"
       `Quick test_scan_no_alloc_per_leaf;
   ]
